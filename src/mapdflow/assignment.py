@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
-from .cost_models import UnitCost
 from .grid_map import DistanceProvider, EdgeCost, GridMap
 from .mincost_flow import (FlowInfeasibleError, FlowNetwork, FlowSolution,
                            solve_min_cost_flow)
@@ -124,19 +122,6 @@ def greedy_assign(agents: list[Agent], tasks: list[Task],
 # Linear assignment baseline (Dijkstra stage + optimal matching)
 # ---------------------------------------------------------------------------
 
-def _grid_csr(grid: GridMap, edge_cost: EdgeCost | None) -> csr_matrix:
-    tails, heads = [], []
-    for v, u in grid.directed_edges():
-        tails.append(v)
-        heads.append(u)
-    if edge_cost is None or isinstance(edge_cost, UnitCost):
-        data = np.ones(len(tails))
-    else:
-        data = np.array([edge_cost(v, u) for v, u in zip(tails, heads)])
-    size = grid.width * grid.height
-    return csr_matrix((data, (tails, heads)), shape=(size, size))
-
-
 def agent_task_distances(grid: GridMap, agents: list[Agent], tasks: list[Task],
                          edge_cost: EdgeCost | None = None) -> np.ndarray:
     """Stage-1 distance matrix: rows are agents (id order), columns tasks.
@@ -144,7 +129,7 @@ def agent_task_distances(grid: GridMap, agents: list[Agent], tasks: list[Task],
     Equivalent to one ``shortest_distances`` call per agent; computed as a
     single batched sparse-graph Dijkstra for speed.
     """
-    csr = _grid_csr(grid, edge_cost)
+    csr = grid.adjacency(grid.edge_costs(edge_cost))
     agent_cells = [a.location for a in sorted(agents, key=lambda a: a.id)]
     pickup_cells = [t.pickup for t in sorted(tasks, key=lambda t: t.id)]
     dist = csgraph_dijkstra(csr, directed=True, indices=agent_cells)
@@ -188,25 +173,6 @@ def linear_assignment(agents: list[Agent], tasks: list[Task], grid: GridMap,
 # Flow-based strategy
 # ---------------------------------------------------------------------------
 
-def _connected_components(grid: GridMap) -> list[int]:
-    """Component id per cell (-1 for blocked cells)."""
-    comp = [-1] * (grid.width * grid.height)
-    next_id = 0
-    for start in grid.free_cells:
-        if comp[start] >= 0:
-            continue
-        comp[start] = next_id
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in grid._neighbors[v]:
-                if comp[u] < 0:
-                    comp[u] = next_id
-                    stack.append(u)
-        next_id += 1
-    return comp
-
-
 @dataclass
 class GridFlowNetwork:
     """A flow network embedded in a grid map, with the bookkeeping needed
@@ -225,35 +191,25 @@ class FlowNetworkBuilder:
     """Reusable per-map constructor for assignment flow networks.
 
     The interior of the network (one node per free cell, one arc per
-    traversable directed edge) is fixed by the map, so it is prepared once;
-    each build only evaluates edge costs and appends the per-instance
-    source and sink arcs.
+    traversable directed edge, arc ids equal to the grid's edge ids) is
+    fixed by the map, so it is prepared once; each build only takes the
+    edge costs and appends the per-instance source and sink arcs.
     """
 
     def __init__(self, grid: GridMap):
         self.grid = grid
-        size = grid.width * grid.height
-        self.node_of_cell = [-1] * size
+        node = np.full(grid.width * grid.height, -1)
+        node[grid.free_cells] = np.arange(grid.num_free)
+        self.node_of_cell = node.tolist()
         self.cell_of_node = list(grid.free_cells)
-        for node, cell in enumerate(self.cell_of_node):
-            self.node_of_cell[cell] = node
-        self.component = _connected_components(grid)
-        self._tails: list[int] = []
-        self._heads: list[int] = []
-        self._tail_cells: list[int] = []
-        self._head_cells: list[int] = []
-        walk_adj: list[list[tuple[int, int, int]]] = [[] for _ in self.cell_of_node]
-        for v, u in grid.directed_edges():
-            edge_id = len(self._tails)
-            tn, hn = self.node_of_cell[v], self.node_of_cell[u]
-            self._tails.append(tn)
-            self._heads.append(hn)
-            self._tail_cells.append(v)
-            self._head_cells.append(u)
-            walk_adj[tn].append((u, edge_id, hn))
-        for entries in walk_adj:
-            entries.sort()  # retrieval picks the lowest-indexed neighbor cell
-        self.walk_adj = walk_adj
+        self._tails = node[grid.tails].tolist()
+        self._heads = node[grid.heads].tolist()
+        # Retrieval walks each node's arcs by ascending head cell.
+        order = np.lexsort((grid.heads, grid.tails))
+        heads = grid.heads[order]
+        arcs = list(zip(heads.tolist(), order.tolist(), node[heads].tolist()))
+        ptr = grid.indptr.tolist()
+        self.walk_adj = [arcs[ptr[v]:ptr[v + 1]] for v in self.cell_of_node]
         self.num_interior = len(self._tails)
 
     def build(self, agents: list[Agent], tasks: list[Task],
@@ -272,11 +228,7 @@ class FlowNetworkBuilder:
             if not grid.is_free(task.pickup):
                 raise ValueError(f"task {task.id} pickup cell is blocked")
 
-        if edge_cost is None or isinstance(edge_cost, UnitCost):
-            costs = [1.0] * self.num_interior
-        else:
-            costs = [edge_cost(v, u)
-                     for v, u in zip(self._tail_cells, self._head_cells)]
+        costs = grid.edge_costs(edge_cost).tolist()
 
         n_free = len(self.cell_of_node)
         source, sink = n_free, n_free + 1
@@ -298,17 +250,12 @@ class FlowNetworkBuilder:
 
         # The max feasible flow is min(agents, tasks) summed per connected
         # component: inside a component every agent reaches every pickup.
-        per_comp_agents: dict[int, int] = {}
-        per_comp_tasks: dict[int, int] = {}
-        for agent in agents:
-            c = self.component[agent.location]
-            per_comp_agents[c] = per_comp_agents.get(c, 0) + 1
-        for task in tasks:
-            c = self.component[task.pickup]
-            per_comp_tasks[c] = per_comp_tasks.get(c, 0) + 1
-        net.required_flow = sum(
-            min(cnt, per_comp_tasks.get(c, 0))
-            for c, cnt in per_comp_agents.items())
+        comp, n_comp = grid.component, int(grid.component.max()) + 1
+        per_comp_agents = np.bincount(
+            comp[[a.location for a in agents]], minlength=n_comp)
+        per_comp_tasks = np.bincount(
+            comp[[t.pickup for t in tasks]], minlength=n_comp)
+        net.required_flow = int(np.minimum(per_comp_agents, per_comp_tasks).sum())
         return GridFlowNetwork(
             network=net, grid=grid, node_of_cell=self.node_of_cell,
             cell_of_node=self.cell_of_node, source_edges=source_edges,

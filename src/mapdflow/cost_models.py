@@ -1,7 +1,9 @@
 """Edge-cost models: unit, planner-traffic estimates, and decayed wait stats.
 
 All models return costs >= 1 for every edge, so unit cost is the common
-lower bound and flow networks never see costs below 1.
+lower bound and flow networks never see costs below 1. The callables here
+are the scalar reference formulas; consumers evaluate them once per edge
+into an array with :meth:`mapdflow.grid_map.GridMap.edge_costs`.
 """
 
 from __future__ import annotations
@@ -133,16 +135,12 @@ def pcost(e: tuple[int, int], stats: EdgeWaitStats) -> float:
 class UnitCost:
     """Edge cost of exactly 1 everywhere."""
 
-    integer_valued = True
-
     def __call__(self, u: int, v: int) -> float:
         return 1.0
 
 
 class TrafficCost:
     """Congestion-estimate edge cost (:func:`fcost`) over a fixed snapshot."""
-
-    integer_valued = True
 
     def __init__(self, ts: TrafficState):
         self.ts = ts
@@ -152,9 +150,12 @@ class TrafficCost:
 
 
 class AvgWaitCost:
-    """Average-observed-waiting edge cost (:func:`pcost`) over live statistics."""
+    """Average-observed-waiting edge cost (:func:`pcost`).
 
-    integer_valued = False
+    Each call reads the statistics as they are at that moment; the
+    simulator evaluates the model once per scheduling round into a cost
+    array, so a round plans on a snapshot.
+    """
 
     def __init__(self, stats: EdgeWaitStats):
         self.stats = stats

@@ -5,17 +5,27 @@ Cells are addressed by a single row-major integer index. All downstream
 modules (flow networks, planners, the simulator) work on these indices, so
 the neighbor ordering defined here (north, east, south, west) is the
 canonical tie-breaking order for the whole package.
+
+Each map holds its traversability graph once, in CSR form: directed edges
+are numbered by tail cell, then N, E, S, W, and every per-edge quantity
+(costs above all) is a float64 array aligned to those edge ids.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappush, heappop
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, dijkstra
 
-EdgeCost = Callable[[int, int], float]
+from .cost_models import UnitCost
+
+# A cost per directed edge: a function of (tail, head), or an array
+# aligned to the grid's edge ids.
+EdgeCost = Union[Callable[[int, int], float], np.ndarray]
 
 FREE_CHARS = {".", "E", "S"}
 BLOCKED_CHARS = {"@", "T"}
@@ -39,6 +49,12 @@ class GridMap:
         height: Number of rows.
         free: Per-cell traversability, indexed row-major (``y * width + x``).
         labels: Sparse map of cell index to label character ('E' or 'S').
+        indptr: CSR row pointers; the out-edges of cell ``v`` have the ids
+            ``indptr[v]:indptr[v + 1]``.
+        heads, tails: Head and tail cell of every directed edge, by edge id.
+        reverse: Id of the same edge traversed the other way, by edge id.
+        component: Connected-component label per cell, numbered in order
+            of each component's first cell; -1 on blocked cells.
     """
 
     def __init__(self, width: int, height: int, free: list[bool],
@@ -51,29 +67,42 @@ class GridMap:
         self.height = height
         self.free = list(free)
         self.labels = dict(labels or {})
-        self._neighbors = self._build_neighbors()
-        self._free_cells = [v for v in range(width * height) if self.free[v]]
+        size = width * height
+        mask = np.array(self.free, dtype=bool)
+        self._free_cells = np.flatnonzero(mask).tolist()
 
-    def _build_neighbors(self) -> list[list[int]]:
-        # Neighbor order is N, E, S, W; downstream tie-breaking relies on it.
-        w, h = self.width, self.height
-        table: list[list[int]] = []
-        for v in range(w * h):
-            if not self.free[v]:
-                table.append([])
-                continue
-            y, x = divmod(v, w)
-            nbrs = []
-            if y > 0 and self.free[v - w]:
-                nbrs.append(v - w)
-            if x < w - 1 and self.free[v + 1]:
-                nbrs.append(v + 1)
-            if y < h - 1 and self.free[v + w]:
-                nbrs.append(v + w)
-            if x > 0 and self.free[v - 1]:
-                nbrs.append(v - 1)
-            table.append(nbrs)
-        return table
+        # has[y, x, d]: cell (x, y) has a free neighbor in direction d,
+        # with d = N, E, S, W; downstream tie-breaking relies on that order.
+        grid = mask.reshape(height, width)
+        has = np.zeros((height, width, 4), dtype=bool)
+        has[1:, :, 0] = grid[1:] & grid[:-1]
+        has[:, :-1, 1] = grid[:, :-1] & grid[:, 1:]
+        has[:-1, :, 2] = grid[:-1] & grid[1:]
+        has[:, 1:, 3] = grid[:, 1:] & grid[:, :-1]
+        has = has.reshape(size, 4)
+        tails, direction = np.nonzero(has)
+        self.tails = tails.astype(np.int32)
+        self.heads = (tails + np.array([-width, 1, width, -1])[direction]
+                      ).astype(np.int32)
+        self.indptr = np.zeros(size + 1, dtype=np.int32)
+        np.cumsum(has.sum(axis=1), out=self.indptr[1:])
+        edge_id = np.zeros((size, 4), dtype=np.int32)
+        edge_id[tails, direction] = np.arange(len(tails))
+        self.reverse = edge_id[self.heads, (direction + 2) % 4]
+
+        # The planner's hot loops read plain lists, one slice per cell.
+        heads_list, ptr = self.heads.tolist(), self.indptr.tolist()
+        self._neighbors = [heads_list[a:b] for a, b in zip(ptr, ptr[1:])]
+
+        # Every edge has its reverse, so strong components are the
+        # connected components, and csgraph finds them without a transpose.
+        _, labels_all = connected_components(self.adjacency(), connection="strong")
+        _, first, inverse = np.unique(labels_all[mask], return_index=True,
+                                      return_inverse=True)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        self.component = np.full(size, -1, dtype=np.int64)
+        self.component[mask] = rank[inverse]
 
     # -- basic queries ----------------------------------------------------
 
@@ -108,13 +137,42 @@ class GridMap:
         return self._neighbors[v]
 
     def directed_edges(self) -> Iterator[tuple[int, int]]:
-        """All traversable directed edges, grouped by tail cell index."""
-        for v in self._free_cells:
-            for u in self._neighbors[v]:
-                yield v, u
+        """All traversable directed edges ``(tail, head)`` in edge-id order."""
+        return zip(self.tails.tolist(), self.heads.tolist())
 
     def num_directed_edges(self) -> int:
-        return sum(len(self._neighbors[v]) for v in self._free_cells)
+        return len(self.heads)
+
+    def edge_costs(self, edge_cost: EdgeCost | None = None) -> np.ndarray:
+        """Per-edge costs as a float64 array aligned to the edge ids.
+
+        ``None`` and :class:`UnitCost` give ones, a callable is evaluated
+        once per edge as ``edge_cost(tail, head)``, and an array passes
+        through.
+
+        Raises:
+            ValueError: On a wrongly sized array, or on any negative or
+                non-finite cost.
+        """
+        if edge_cost is None or isinstance(edge_cost, UnitCost):
+            return np.ones(len(self.heads))
+        if callable(edge_cost):
+            costs = np.array([edge_cost(v, u) for v, u in self.directed_edges()],
+                             dtype=np.float64)
+        else:
+            costs = np.asarray(edge_cost, dtype=np.float64)
+        if costs.shape != self.heads.shape:
+            raise ValueError(f"expected {len(self.heads)} edge costs, "
+                             f"got shape {costs.shape}")
+        if not np.isfinite(costs).all() or (costs < 0).any():
+            raise ValueError("edge costs must be finite and nonnegative")
+        return costs
+
+    def adjacency(self, costs: np.ndarray | None = None) -> csr_matrix:
+        """The edge graph as a sparse matrix, weighted by ``costs`` (default 1)."""
+        size = self.width * self.height
+        data = np.ones(len(self.heads)) if costs is None else costs
+        return csr_matrix((data, self.heads, self.indptr), shape=(size, size))
 
     # -- serialization ----------------------------------------------------
 
@@ -196,7 +254,7 @@ def parse_map(text: str) -> GridMap:
 
 
 def shortest_distances(grid: GridMap, source: int,
-                       edge_cost: EdgeCost | None = None,
+                       edge_cost: Callable[[int, int], float] | None = None,
                        targets: Iterable[int] | None = None) -> dict[int, float]:
     """Exact shortest-path costs from ``source`` under a nonnegative edge cost.
 
@@ -254,94 +312,55 @@ def shortest_distances(grid: GridMap, source: int,
 
 
 class DistanceProvider:
-    """Cached distance-to-goal tables under a fixed edge-cost function.
+    """Cached distance-to-goal tables under fixed edge costs.
 
-    Tables are computed by a backward search from the goal (arc costs are
-    taken in the forward travel direction, so direction-dependent costs are
-    handled correctly) and cached per goal cell. Also extracts concrete
-    shortest paths by greedy descent over a table.
+    The costs are taken once, at construction, as an array aligned to the
+    grid's edge ids (see :meth:`GridMap.edge_costs`). Each goal's table is
+    one Dijkstra from the goal over the transposed graph, so arc costs stay
+    in the forward travel direction, and is cached per goal cell. Also
+    extracts concrete shortest paths by greedy descent over a table.
     """
 
     def __init__(self, grid: GridMap, edge_cost: EdgeCost | None = None):
         self.grid = grid
-        self.edge_cost = edge_cost
-        self._tables: dict[int, dict[int, float]] = {}
-        self._arrays: dict[int, np.ndarray] = {}
+        self.costs = grid.edge_costs(edge_cost)
+        # The transposed graph has the same layout, since every edge has
+        # its reverse; edge v -> u carries the cost of travelling u -> v.
+        self._backward = grid.adjacency(self.costs[grid.reverse])
+        self._tables: dict[int, np.ndarray] = {}
 
-    def table(self, goal: int) -> dict[int, float]:
-        """Map of cell -> cost of the cheapest path from that cell to ``goal``."""
+    def table(self, goal: int) -> np.ndarray:
+        """Cost of the cheapest path from each cell to ``goal`` (inf if none)."""
         cached = self._tables.get(goal)
-        if cached is not None:
-            return cached
-        tbl = self._backward_search(goal)
-        self._tables[goal] = tbl
-        return tbl
+        if cached is None:
+            if not self.grid.is_free(goal):
+                raise ValueError(f"goal cell {goal} is blocked or out of range")
+            cached = self._tables[goal] = dijkstra(self._backward, indices=goal)
+        return cached
 
     def table_array(self, goal: int) -> np.ndarray:
-        """Dense variant of :meth:`table`: cost per cell index, inf if unreachable."""
-        cached = self._arrays.get(goal)
-        if cached is not None:
-            return cached
-        arr = np.full(self.grid.width * self.grid.height, float("inf"))
-        for cell, d in self.table(goal).items():
-            arr[cell] = d
-        self._arrays[goal] = arr
-        return arr
+        """The table as :func:`~mapdflow.assignment.greedy_assign` reads it."""
+        return self.table(goal)
 
     def distance(self, source: int, goal: int) -> float:
-        return self.table(goal).get(source, float("inf"))
-
-    def _backward_search(self, goal: int) -> dict[int, float]:
-        grid = self.grid
-        if not grid.is_free(goal):
-            raise ValueError(f"goal cell {goal} is blocked or out of range")
-        if self.edge_cost is None:
-            dist = {goal: 0.0}
-            queue = deque([goal])
-            while queue:
-                v = queue.popleft()
-                d = dist[v] + 1.0
-                for u in grid._neighbors[v]:
-                    if u not in dist:
-                        dist[u] = d
-                        queue.append(u)
-            return dist
-        cost = self.edge_cost
-        dist = {}
-        best = {goal: 0.0}
-        heap = [(0.0, goal)]
-        while heap:
-            d, v = heappop(heap)
-            if v in dist:
-                continue
-            dist[v] = d
-            for u in grid._neighbors[v]:
-                if u in dist:
-                    continue
-                # Arc u -> v in travel direction.
-                nd = d + cost(u, v)
-                if nd < best.get(u, float("inf")):
-                    best[u] = nd
-                    heappush(heap, (nd, u))
-        return dist
+        if not self.grid.in_bounds(source):
+            return float("inf")
+        return float(self.table(goal)[source])
 
     def shortest_path(self, source: int, goal: int) -> list[int] | None:
         """Cheapest source->goal cell sequence, or None if unreachable."""
+        grid = self.grid
         tbl = self.table(goal)
-        if source not in tbl:
+        if not (grid.in_bounds(source) and tbl[source] < float("inf")):
             return None
-        cost = self.edge_cost
+        ptr, cost = grid.indptr, self.costs
         path = [source]
         v = source
-        guard = self.grid.num_free + 1
+        guard = grid.num_free + 1
         while v != goal:
             best_u, best_val = -1, float("inf")
-            for u in self.grid._neighbors[v]:
-                du = tbl.get(u)
-                if du is None:
-                    continue
-                step = 1.0 if cost is None else cost(v, u)
-                val = step + du
+            for e, u in enumerate(grid._neighbors[v], int(ptr[v])):
+                val = cost[e] + tbl[u]
                 if val < best_val - 1e-12:
                     best_u, best_val = u, val
             if best_u < 0:

@@ -24,31 +24,13 @@ def random_map(width: int, height: int, obstacle_density: float = 0.2,
     if not any(free):
         free[0] = True
     grid = GridMap(width, height, free)
-    keep = _largest_component(grid)
-    if len(keep) < grid.num_free:
-        free = [v in keep for v in range(width * height)]
-        grid = GridMap(width, height, free)
+    # Components are numbered in cell order, so argmax keeps the first of
+    # equally large ones.
+    sizes = np.bincount(grid.component[grid.component >= 0])
+    if sizes.max() < grid.num_free:
+        grid = GridMap(width, height,
+                       (grid.component == sizes.argmax()).tolist())
     return grid
-
-
-def _largest_component(grid: GridMap) -> set[int]:
-    seen: set[int] = set()
-    best: set[int] = set()
-    for start in grid.free_cells:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in grid._neighbors[v]:
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        if len(comp) > len(best):
-            best = comp
-    return best
 
 
 def warehouse_map(width: int = 35, height: int = 21,

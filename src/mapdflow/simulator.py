@@ -2,10 +2,15 @@
 execution, congestion statistics, and metrics.
 
 Each step runs a fixed phase order: (1) on scheduling rounds, rebuild the
-traffic snapshot, evaluate the cost model, and solve the configured
-assignment strategy; (2) compute guide paths for new pickup legs and for
-delivery legs; (3) execute one PIBT step; (4) detect pickups/deliveries;
-(5) update decayed wait statistics; (6) release tasks; (7) record metrics.
+traffic snapshot, evaluate the cost model into one per-edge cost array, and
+solve the configured assignment strategy; (2) compute guide paths for new
+pickup legs and for delivery legs; (3) execute one PIBT step; (4) detect
+pickups/deliveries; (5) update decayed wait statistics; (6) release tasks;
+(7) record metrics.
+
+Edge costs are a per-round snapshot: the solver and every guide path
+staged until the next round use the array evaluated at the round, even
+when the wait statistics behind the avg-wait model change in between.
 
 Two time modes exist: logical mode ignores the per-step budget entirely
 (fully deterministic), wall-clock mode discards the step's fresh plans and
@@ -20,10 +25,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from .assignment import (Agent, AssignmentSet, FlowNetworkBuilder, Task,
-                         TaskState, _connected_components, flow_assign,
-                         greedy_assign, linear_assignment)
+                         TaskState, flow_assign, greedy_assign,
+                         linear_assignment)
 from .cost_models import (AvgWaitCost, EdgeWaitStats, TrafficCost,
                           TrafficState, update_wait_stats)
 from .grid_map import DistanceProvider, GridMap
@@ -136,12 +142,10 @@ class Simulation:
         if config.num_agents > grid.num_free:
             raise ValueError("more agents than free cells")
         # Tasks must be completable: delivery sampled in the pickup's
-        # connected component.
-        self._component = _connected_components(grid)
-        comp_sizes: dict[int, int] = {}
-        for v in grid.free_cells:
-            comp_sizes[self._component[v]] = comp_sizes.get(self._component[v], 0) + 1
-        self._comp_sizes = comp_sizes
+        # connected component. Plain ints: task sampling compares labels
+        # in a Python loop.
+        self._component = grid.component.tolist()
+        self._comp_sizes = np.bincount(grid.component[grid.component >= 0]).tolist()
         if config.task_distribution == "labeled-es":
             self._s_cells = grid.cells_with_label("S")
             self._e_cells = grid.cells_with_label("E")
@@ -152,7 +156,7 @@ class Simulation:
             if not (s_comps & e_comps):
                 raise ValueError("no 'S' cell can reach any 'E' cell")
             self._s_weights = self._station_weights()
-        elif max(comp_sizes.values(), default=0) < 2:
+        elif max(self._comp_sizes, default=0) < 2:
             raise ValueError(
                 "uniform task sampling needs at least 2 mutually reachable free cells")
 
@@ -183,7 +187,7 @@ class Simulation:
 
         self.traffic = TrafficState()
         self.wait_stats = EdgeWaitStats(gamma=config.gamma)
-        self.edge_cost = None   # evaluated at each scheduling round
+        self.edge_cost = None   # per-edge cost array, evaluated each round
         self._unit_provider = DistanceProvider(grid)
         self.provider = self._unit_provider
         self.builder = FlowNetworkBuilder(grid) if config.strategy == "flow" else None
@@ -196,18 +200,11 @@ class Simulation:
     # -- task generation ----------------------------------------------------
 
     def _station_weights(self) -> np.ndarray:
-        # Multi-source BFS from workstations; weight ~ 1 / (1 + distance).
-        dist = {c: 0 for c in self._e_cells}
-        frontier = list(self._e_cells)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in self.grid._neighbors[v]:
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            frontier = nxt
-        w = np.array([1.0 / (1.0 + dist.get(c, self.grid.num_free)) for c in self._s_cells])
+        # Unit distance to the nearest workstation; weight ~ 1 / (1 + distance).
+        dist = dijkstra(self.grid.adjacency(), indices=self._e_cells,
+                        unweighted=True, min_only=True)[self._s_cells]
+        dist[np.isinf(dist)] = self.grid.num_free
+        w = 1.0 / (1.0 + dist)
         return w / w.sum()
 
     def _spawn_task(self) -> Task:
@@ -271,7 +268,7 @@ class Simulation:
     def _plan_round(self) -> tuple[AssignmentSet, list[Agent]]:
         cfg = self.config
         self.rounds_run += 1
-        self.edge_cost = self._round_cost_model()
+        self.edge_cost = self.grid.edge_costs(self._round_cost_model())
         if cfg.cost_model == "unit":
             self.provider = self._unit_provider
         else:
@@ -477,8 +474,3 @@ class Simulation:
 def run(grid: GridMap, config: SimConfig, trace: bool = False) -> SimMetrics:
     """Run one simulation to completion and return its metrics."""
     return Simulation(grid, config, trace=trace).run()
-
-
-def release_tasks(sim: Simulation) -> None:
-    """Top up the task pool according to the simulation's release policy."""
-    sim._release_tasks()

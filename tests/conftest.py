@@ -34,6 +34,20 @@ def bfs_distances(grid, source):
     return dist
 
 
+def bfs_components(grid):
+    """Component label per cell by plain BFS over free cells, numbered in
+    order of each component's first cell; -1 on blocked cells."""
+    comp = [-1] * (grid.width * grid.height)
+    label = 0
+    for start in range(grid.width * grid.height):
+        if not grid.free[start] or comp[start] >= 0:
+            continue
+        for v in bfs_distances(grid, start):
+            comp[v] = label
+        label += 1
+    return comp
+
+
 def random_grid(rng, width, height, obstacle=0.2):
     free = [rng.random() > obstacle for _ in range(width * height)]
     if not any(free):

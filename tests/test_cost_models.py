@@ -159,3 +159,30 @@ def test_avg_wait_cost_fresh_equals_unit():
     model = AvgWaitCost(EdgeWaitStats())
     for u in range(12):
         assert model(u, u + 1) == 1.0
+
+
+def test_cost_arrays_equal_scalar_formulas_edge_by_edge():
+    from conftest import random_grid
+    rng = random.Random(9)
+    for _ in range(5):
+        grid = random_grid(rng, 7, 6, 0.15)
+        edges = list(grid.directed_edges())
+        # Random walks over the map give overlapping, opposing traffic.
+        paths = []
+        for _ in range(8):
+            path = [rng.choice(grid.free_cells)]
+            for _ in range(rng.randint(1, 12)):
+                path.append(rng.choice(grid.neighbors(path[-1]) or [path[-1]]))
+            paths.append(path)
+        ts = TrafficState.from_guide_paths(paths)
+        stats = EdgeWaitStats(gamma=0.8)
+        for _ in range(3):
+            update_wait_stats(stats, [(rng.choice(edges), rng.randint(0, 4))
+                                      for _ in range(10)])
+        traffic_arr = grid.edge_costs(TrafficCost(ts))
+        wait_arr = grid.edge_costs(AvgWaitCost(stats))
+        assert (grid.edge_costs(UnitCost()) == 1.0).all()
+        for e, edge in enumerate(edges):
+            assert traffic_arr[e] == fcost(edge, ts)
+            assert wait_arr[e] == pcost(edge, stats)
+        assert (traffic_arr > 1.0).any() and (wait_arr > 1.0).any()

@@ -1,12 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mapdflow.grid_map import (DistanceProvider, GridMap, MapParseError,
                                parse_map, shortest_distances)
 
-from conftest import bfs_distances, random_grid
+from conftest import bfs_components, bfs_distances, random_grid
 
 MAP_3X3_RING = "type octile\nheight 3\nwidth 3\nmap\n...\n.@.\n...\n"
 
@@ -206,3 +207,133 @@ def test_distance_provider_path_descends_table():
         assert len(path) - 1 == provider.distance(src, goal)
         for x, y in zip(path, path[1:]):
             assert y in grid.neighbors(x)
+
+
+# -- edge-indexed graph -------------------------------------------------------
+
+def edge_order_oracle(grid):
+    """Directed edges by tail cell, then N, E, S, W, from coordinates alone."""
+    edges = []
+    for v in range(grid.width * grid.height):
+        if not grid.free[v]:
+            continue
+        y, x = divmod(v, grid.width)
+        for dy, dx in ((-1, 0), (0, 1), (1, 0), (0, -1)):
+            ny, nx = y + dy, x + dx
+            if 0 <= ny < grid.height and 0 <= nx < grid.width:
+                u = ny * grid.width + nx
+                if grid.free[u]:
+                    edges.append((v, u))
+    return edges
+
+
+def test_edge_ids_follow_directed_edges_order():
+    rng = random.Random(40)
+    for obstacle in (0.0, 0.2, 0.5):
+        grid = random_grid(rng, 7, 5, obstacle)
+        want = edge_order_oracle(grid)
+        assert list(zip(grid.tails.tolist(), grid.heads.tolist())) == want
+        assert list(grid.directed_edges()) == want
+        assert grid.num_directed_edges() == len(want)
+        assert grid.indptr[0] == 0 and grid.indptr[-1] == len(want)
+        assert [want[r] for r in grid.reverse.tolist()] == [(u, v) for v, u in want]
+
+
+def test_neighbors_equal_csr_slice():
+    rng = random.Random(41)
+    for _ in range(10):
+        grid = random_grid(rng, 6, 8, 0.3)
+        for v in grid.free_cells:
+            lo, hi = grid.indptr[v], grid.indptr[v + 1]
+            assert grid.neighbors(v) == grid.heads[lo:hi].tolist()
+            assert (grid.tails[lo:hi] == v).all()
+
+
+def test_component_labels_match_bfs_oracle():
+    rng = random.Random(42)
+    disconnected = 0
+    for obstacle in (0.1, 0.3, 0.45, 0.6):
+        for _ in range(15):
+            grid = random_grid(rng, rng.randint(1, 9), rng.randint(1, 9), obstacle)
+            want = bfs_components(grid)
+            assert grid.component.tolist() == want
+            disconnected += max(want) > 0
+    assert disconnected > 10  # the cases include split maps
+
+
+def test_edge_costs_unit_callable_and_array():
+    from mapdflow.cost_models import UnitCost
+    rng = random.Random(43)
+    grid = random_grid(rng, 5, 5)
+    m = grid.num_directed_edges()
+    assert (grid.edge_costs(None) == 1.0).all() and grid.edge_costs().shape == (m,)
+    assert (grid.edge_costs(UnitCost()) == 1.0).all()
+    costs = {e: 1.0 + rng.random() for e in grid.directed_edges()}
+    arr = grid.edge_costs(lambda v, u: costs[(v, u)])
+    assert arr.dtype == np.float64
+    assert arr.tolist() == [costs[e] for e in grid.directed_edges()]
+    assert grid.edge_costs(arr) is arr
+
+
+def test_edge_costs_evaluates_callable_once_per_edge():
+    grid = GridMap(3, 3, [True] * 9)
+    calls = []
+    grid.edge_costs(lambda v, u: calls.append((v, u)) or 1.0)
+    assert calls == list(grid.directed_edges())
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+def test_edge_costs_rejects_negative_or_non_finite(bad):
+    grid = GridMap(3, 3, [True] * 9)
+    last = list(grid.directed_edges())[-1]
+    cost_fn = lambda v, u: bad if (v, u) == last else 1.0
+    with pytest.raises(ValueError):
+        grid.edge_costs(cost_fn)
+    with pytest.raises(ValueError):
+        DistanceProvider(grid, cost_fn)
+    arr = np.ones(grid.num_directed_edges())
+    arr[3] = bad
+    with pytest.raises(ValueError):
+        grid.edge_costs(arr)
+
+
+def test_edge_costs_rejects_wrong_length():
+    grid = GridMap(3, 3, [True] * 9)
+    with pytest.raises(ValueError):
+        grid.edge_costs(np.ones(grid.num_directed_edges() + 1))
+
+
+def test_distance_provider_array_costs_match_callable():
+    rng = random.Random(44)
+    for _ in range(5):
+        grid = random_grid(rng, 6, 6)
+        costs = {e: 1.0 + 3.0 * rng.random() for e in grid.directed_edges()}
+        cost_fn = lambda v, u: costs[(v, u)]
+        by_fn = DistanceProvider(grid, cost_fn)
+        by_arr = DistanceProvider(grid, grid.edge_costs(cost_fn))
+        for goal in rng.sample(grid.free_cells, 3):
+            assert (by_fn.table(goal) == by_arr.table(goal)).all()
+            for src in grid.free_cells:
+                want = shortest_distances(grid, src, cost_fn).get(goal, math.inf)
+                assert by_arr.distance(src, goal) == pytest.approx(want, abs=1e-12)
+                path = by_arr.shortest_path(src, goal)
+                assert (path is None) == (want == math.inf)
+
+
+def test_random_map_keeps_exactly_one_largest_component():
+    from mapdflow.mapgen import random_map
+    kept_split = 0
+    for seed in range(40):
+        for density in (0.3, 0.45):
+            raw = GridMap(9, 7, (np.random.default_rng(seed).random(63)
+                                 >= density).tolist())
+            comp = bfs_components(raw)
+            sizes = [comp.count(c) for c in range(max(comp) + 1)]
+            if not sizes:
+                continue
+            best = sizes.index(max(sizes))  # first in cell order on ties
+            grid = random_map(9, 7, density, seed)
+            assert grid.free == [c == best for c in comp]
+            assert grid.component.max() == 0
+            kept_split += len(sizes) > 1
+    assert kept_split > 20

@@ -1,11 +1,14 @@
 import math
+from pathlib import Path
 
 import pytest
 
 from mapdflow.assignment import TaskState
-from mapdflow.grid_map import GridMap
+from mapdflow.grid_map import GridMap, parse_map
 from mapdflow.mapgen import random_map, warehouse_map
 from mapdflow.simulator import SimConfig, Simulation, run
+
+MAPS = Path(__file__).resolve().parent.parent / "maps"
 
 
 def line_grid(n):
@@ -301,3 +304,18 @@ def test_preset_tasks_consumed_in_order():
     sim = Simulation(grid, cfg, preset_starts=[0],
                      preset_tasks=[(1, 2), (3, 4)])
     assert [(t.pickup, t.delivery) for t in sim.tasks.values()] == [(1, 2), (3, 4)]
+
+
+@pytest.mark.parametrize("strategy", ["flow", "greedy", "linear"])
+def test_avg_wait_costs_are_a_round_snapshot(strategy):
+    # Wait statistics change every step, but a delivery leg staged between
+    # rounds must descend the table it was computed from: with live costs
+    # this setup failed at step 4 ("distance table descent did not terminate").
+    grid = parse_map(MAPS.joinpath("warehouse_21x35.map").read_text())
+    cfg = SimConfig(num_agents=150, strategy=strategy, cost_model="avg-wait",
+                    task_distribution="labeled-es", schedule_period=4,
+                    horizon=10, seed=2)
+    sim = Simulation(grid, cfg)
+    sim.run()
+    assert sim.step_idx == 10
+    sim.check_invariants()

@@ -96,7 +96,7 @@ def greedy_assign(agents: list[Agent], tasks: list[Task],
     agent_cells = np.array([a.location for a in agents])
     cost = np.empty((len(agents), len(tasks)))
     for j, task in enumerate(tasks):
-        cost[:, j] = dist.table_array(task.pickup)[agent_cells]
+        cost[:, j] = dist.table(task.pickup)[agent_cells]
 
     order = np.argsort(cost, axis=None, kind="stable")
     n, m = cost.shape

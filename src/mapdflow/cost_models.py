@@ -1,19 +1,43 @@
 """Edge-cost models: unit, planner-traffic estimates, and decayed wait stats.
 
 All models return costs >= 1 for every edge, so unit cost is the common
-lower bound and flow networks never see costs below 1. The callables here
-are the scalar reference formulas; consumers evaluate them once per edge
-into an array with :meth:`mapdflow.grid_map.GridMap.edge_costs`.
+lower bound and flow networks never see costs below 1. The functions
+(:func:`fcost`, :func:`pcost` and the terms they add up) are the scalar
+reference formulas. The model classes :class:`UnitCost`,
+:class:`TrafficCost` and :class:`AvgWaitCost` take either one edge
+``(tail, head)`` as ints, giving a float, or equal-length int arrays of
+tails and heads, giving a float64 array equal to the scalar formula on
+every edge, bit for bit. :meth:`mapdflow.grid_map.GridMap.edge_costs`
+evaluates a model over all of a map's edges in that one array call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
+import numpy as np
 
-@dataclass
+
+def _edge_keys(tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """One int64 per directed edge, ordered by tail, then head.
+
+    Cells are row-major grid indices, so nonnegative and below 2**32.
+    """
+    return (np.asarray(tails, dtype=np.int64) << 32) | np.asarray(heads, dtype=np.int64)
+
+
+def _lookup(keys: np.ndarray, values: np.ndarray, query: np.ndarray,
+            missing) -> np.ndarray:
+    """``values`` at each ``query`` key found in the sorted ``keys``, else ``missing``."""
+    if len(keys) == 0:
+        return np.full(len(query), missing, dtype=values.dtype)
+    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return np.where(keys[at] == query, values[at], missing)
+
+
 class TrafficState:
     """Congestion statistics derived from delivering agents' guide paths.
 
@@ -21,22 +45,69 @@ class TrafficState:
     path (one count per entry event, so revisits count again);
     ``traversals[(u, v)]`` counts planned directed traversals of edge
     ``(u, v)``. Rebuilt from scratch each planning cycle.
+
+    A state is either given as these two dicts or counted from guide paths
+    by :meth:`from_guide_paths`. The latter keeps sorted count arrays and
+    builds the dicts only when they are first read, as read-only views.
     """
 
-    entries: dict[int, int] = field(default_factory=dict)
-    traversals: dict[tuple[int, int], int] = field(default_factory=dict)
+    def __init__(self, entries: dict[int, int] | None = None,
+                 traversals: dict[tuple[int, int], int] | None = None):
+        self._entries = {} if entries is None else entries
+        self._traversals = {} if traversals is None else traversals
+        self._counted: tuple[np.ndarray, ...] | None = None
 
     @classmethod
     def from_guide_paths(cls, paths: Iterable[list[int]]) -> "TrafficState":
-        entries: dict[int, int] = {}
-        traversals: dict[tuple[int, int], int] = {}
-        for path in paths:
-            for i in range(1, len(path)):
-                v = path[i]
-                entries[v] = entries.get(v, 0) + 1
-                e = (path[i - 1], v)
-                traversals[e] = traversals.get(e, 0) + 1
-        return cls(entries=entries, traversals=traversals)
+        # A path's second and later cells are entries, each entered from
+        # the cell before it in the same path.
+        paths = [p for p in paths if len(p) > 1]
+        lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
+        flat = np.fromiter(chain.from_iterable(paths), dtype=np.int64,
+                           count=int(lengths.sum()))
+        entered = np.ones(len(flat), dtype=bool)
+        entered[np.cumsum(lengths) - lengths] = False
+        at = np.flatnonzero(entered)
+        ts = cls()
+        ts._entries = ts._traversals = None
+        ts._counted = (*np.unique(flat[at], return_counts=True),
+                       *np.unique(_edge_keys(flat[at - 1], flat[at]),
+                                  return_counts=True))
+        return ts
+
+    @property
+    def entries(self) -> dict[int, int]:
+        if self._entries is None:
+            cells, counts = self._counted[:2]
+            self._entries = dict(zip(cells.tolist(), counts.tolist()))
+        return self._entries
+
+    @property
+    def traversals(self) -> dict[tuple[int, int], int]:
+        if self._traversals is None:
+            keys, counts = self._counted[2:]
+            edges = zip((keys >> 32).tolist(), (keys & 0xFFFFFFFF).tolist())
+            self._traversals = dict(zip(edges, counts.tolist()))
+        return self._traversals
+
+    def _count_arrays(self) -> tuple[np.ndarray, ...]:
+        """``(cells, entry counts, edge keys, traversal counts)``: the
+        counts as arrays, each pair sorted by its first array."""
+        if self._counted is not None:
+            return self._counted
+        # Given as dicts: count from them as they are now.
+        n = len(self._traversals)
+        ends = np.fromiter(chain.from_iterable(self._traversals),
+                           dtype=np.int64, count=2 * n)
+        keys = _edge_keys(ends[0::2], ends[1::2])
+        cells = np.fromiter(self._entries, dtype=np.int64, count=len(self._entries))
+        by_cell, by_key = np.argsort(cells), np.argsort(keys)
+        entry_counts = np.fromiter(self._entries.values(), dtype=np.int64,
+                                   count=len(cells))
+        traversal_counts = np.fromiter(self._traversals.values(),
+                                       dtype=np.int64, count=n)
+        return (cells[by_cell], entry_counts[by_cell],
+                keys[by_key], traversal_counts[by_key])
 
 
 def vertex_congestion(v: int, ts: TrafficState) -> float:
@@ -135,7 +206,9 @@ def pcost(e: tuple[int, int], stats: EdgeWaitStats) -> float:
 class UnitCost:
     """Edge cost of exactly 1 everywhere."""
 
-    def __call__(self, u: int, v: int) -> float:
+    def __call__(self, u, v):
+        if isinstance(u, np.ndarray):
+            return np.ones(len(u))
         return 1.0
 
 
@@ -145,20 +218,55 @@ class TrafficCost:
     def __init__(self, ts: TrafficState):
         self.ts = ts
 
-    def __call__(self, u: int, v: int) -> float:
-        return fcost((u, v), self.ts)
+    def __call__(self, u, v):
+        if not isinstance(u, np.ndarray):
+            return fcost((u, v), self.ts)
+        cells, entry_counts, keys, traversal_counts = self.ts._count_arrays()
+        n_v = _lookup(cells, entry_counts, np.asarray(v, dtype=np.int64), 0)
+        vc = np.where(n_v > 1, np.ceil((n_v - 1) / 2), 0.0)
+        # Contraflow is nonzero only on traversed edges: take it per
+        # traversed edge, then look the queried edges up once.
+        reverse = ((keys & 0xFFFFFFFF) << 32) | (keys >> 32)
+        both_ways = traversal_counts * _lookup(keys, traversal_counts, reverse, 0)
+        cf = _lookup(keys, both_ways, _edge_keys(u, v), 0).astype(np.float64)
+        return 1.0 + vc + cf
 
 
 class AvgWaitCost:
     """Average-observed-waiting edge cost (:func:`pcost`).
 
-    Each call reads the statistics as they are at that moment; the
-    simulator evaluates the model once per scheduling round into a cost
-    array, so a round plans on a snapshot.
+    Each call reads the statistics as they are at that moment. Called with
+    arrays it reads every stored ``(value, stamp)`` pair once and decays
+    each by ``gamma ** age``, one power per distinct age, as
+    :meth:`EdgeWaitStats._current` does per edge. The simulator evaluates
+    the model once per scheduling round into a cost array, so a round
+    plans on a snapshot.
     """
 
     def __init__(self, stats: EdgeWaitStats):
         self.stats = stats
 
-    def __call__(self, u: int, v: int) -> float:
-        return pcost((u, v), self.stats)
+    def __call__(self, u, v):
+        if not isinstance(u, np.ndarray):
+            return pcost((u, v), self.stats)
+        query = _edge_keys(u, v)
+        n = self._current(self.stats._n, query)
+        w = self._current(self.stats._w, query)
+        cost = np.ones(len(query))
+        seen = ~(n <= 0.0)
+        cost[seen] = 1.0 + w[seen] / n[seen]
+        return cost
+
+    def _current(self, table: dict, query: np.ndarray) -> np.ndarray:
+        """:meth:`EdgeWaitStats._current` at every queried edge key."""
+        size = len(table)
+        ends = np.fromiter(chain.from_iterable(table), dtype=np.int64, count=2 * size)
+        stored = np.fromiter(chain.from_iterable(table.values()), dtype=np.float64,
+                             count=2 * size)
+        keys = _edge_keys(ends[0::2], ends[1::2])
+        value, stamp = stored[0::2], stored[1::2].astype(np.int64)
+        ages, age_at = np.unique(self.stats.epoch - stamp, return_inverse=True)
+        gamma = self.stats.gamma
+        factor = np.array([gamma ** k for k in ages.tolist()], dtype=np.float64)
+        order = np.argsort(keys)
+        return _lookup(keys[order], (value * factor[age_at])[order], query, 0.0)

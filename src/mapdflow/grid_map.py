@@ -21,7 +21,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .cost_models import UnitCost
+from .cost_models import AvgWaitCost, TrafficCost, UnitCost
 
 # A cost per directed edge: a function of (tail, head), or an array
 # aligned to the grid's edge ids.
@@ -146,17 +146,20 @@ class GridMap:
     def edge_costs(self, edge_cost: EdgeCost | None = None) -> np.ndarray:
         """Per-edge costs as a float64 array aligned to the edge ids.
 
-        ``None`` and :class:`UnitCost` give ones, a callable is evaluated
-        once per edge as ``edge_cost(tail, head)``, and an array passes
-        through.
+        ``None`` gives ones. A model from :mod:`mapdflow.cost_models` is
+        called once, as ``edge_cost(tails, heads)`` over the edge arrays;
+        any other callable is evaluated once per edge as
+        ``edge_cost(tail, head)``; an array passes through.
 
         Raises:
             ValueError: On a wrongly sized array, or on any negative or
                 non-finite cost.
         """
-        if edge_cost is None or isinstance(edge_cost, UnitCost):
+        if edge_cost is None:
             return np.ones(len(self.heads))
-        if callable(edge_cost):
+        if isinstance(edge_cost, (UnitCost, TrafficCost, AvgWaitCost)):
+            costs = edge_cost(self.tails, self.heads)
+        elif callable(edge_cost):
             costs = np.array([edge_cost(v, u) for v, u in self.directed_edges()],
                              dtype=np.float64)
         else:
@@ -337,10 +340,6 @@ class DistanceProvider:
                 raise ValueError(f"goal cell {goal} is blocked or out of range")
             cached = self._tables[goal] = dijkstra(self._backward, indices=goal)
         return cached
-
-    def table_array(self, goal: int) -> np.ndarray:
-        """The table as :func:`~mapdflow.assignment.greedy_assign` reads it."""
-        return self.table(goal)
 
     def distance(self, source: int, goal: int) -> float:
         if not self.grid.in_bounds(source):

@@ -185,7 +185,6 @@ class Simulation:
         self.released = 0
         self.delivered = 0
 
-        self.traffic = TrafficState()
         self.wait_stats = EdgeWaitStats(gamma=config.gamma)
         self.edge_cost = None   # per-edge cost array, evaluated each round
         self._unit_provider = DistanceProvider(grid)
@@ -254,21 +253,23 @@ class Simulation:
 
     # -- assignment round ----------------------------------------------------
 
-    def _round_cost_model(self):
+    def _round_cost_model(self) -> np.ndarray:
+        """The round's edge costs: the cost model evaluated over every edge."""
         cfg = self.config
         if cfg.cost_model == "unit":
-            return None
-        if cfg.cost_model == "traffic":
+            model = None
+        elif cfg.cost_model == "traffic":
             paths = [a.guide_path for a in self.agents
                      if a.is_delivering and a.guide_path]
-            self.traffic = TrafficState.from_guide_paths(paths)
-            return TrafficCost(self.traffic)
-        return AvgWaitCost(self.wait_stats)
+            model = TrafficCost(TrafficState.from_guide_paths(paths))
+        else:
+            model = AvgWaitCost(self.wait_stats)
+        return self.grid.edge_costs(model)
 
     def _plan_round(self) -> tuple[AssignmentSet, list[Agent]]:
         cfg = self.config
         self.rounds_run += 1
-        self.edge_cost = self.grid.edge_costs(self._round_cost_model())
+        self.edge_cost = self._round_cost_model()
         if cfg.cost_model == "unit":
             self.provider = self._unit_provider
         else:

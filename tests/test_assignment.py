@@ -20,7 +20,7 @@ class StubProvider:
         self.size = size
         self.by_goal = table
 
-    def table_array(self, goal):
+    def table(self, goal):
         arr = np.full(self.size, np.inf)
         for cell, d in self.by_goal[goal].items():
             arr[cell] = d

@@ -1,11 +1,17 @@
+import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapdflow.cost_models import (AvgWaitCost, EdgeWaitStats, TrafficCost,
                                   TrafficState, UnitCost, contraflow, fcost,
                                   pcost, unit_cost, update_wait_stats,
                                   vertex_congestion)
+from mapdflow.grid_map import GridMap
 
 
 def traffic(entries=None, traversals=None):
@@ -186,3 +192,103 @@ def test_cost_arrays_equal_scalar_formulas_edge_by_edge():
             assert traffic_arr[e] == fcost(edge, ts)
             assert wait_arr[e] == pcost(edge, stats)
         assert (traffic_arr > 1.0).any() and (wait_arr > 1.0).any()
+
+
+# -- one array call over a map's edges equals the scalar formulas -------------
+
+@st.composite
+def grids(draw):
+    width, height = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    free = draw(st.lists(st.booleans(), min_size=width * height,
+                         max_size=width * height))
+    free[draw(st.integers(0, width * height - 1))] = True
+    return GridMap(width, height, free)
+
+
+@st.composite
+def guide_paths(draw, grid):
+    """Walks over the free cells: mostly neighbour steps (revisits and, with
+    reversed copies, opposing traffic), sometimes jumps to any free cell,
+    which count as entries but match no edge; some paths empty or one cell."""
+    cells = grid.free_cells
+    paths = []
+    for _ in range(draw(st.integers(0, 8))):
+        path = draw(st.lists(st.sampled_from(cells), max_size=1))
+        for _ in range(draw(st.integers(0, 12)) if path else 0):
+            jump = draw(st.integers(0, 5)) == 0 or not grid.neighbors(path[-1])
+            options = cells if jump else grid.neighbors(path[-1])
+            path.append(draw(st.sampled_from(options)))
+        paths.append(path)
+        if draw(st.booleans()):
+            paths.append(path[::-1])
+    return paths
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_traffic_array_equals_fcost_edge_by_edge(data):
+    grid = data.draw(grids())
+    paths = data.draw(guide_paths(grid))
+    ts = TrafficState.from_guide_paths(paths)
+    # The counts are those of a plain loop over the paths.
+    assert ts.entries == Counter(p[i] for p in paths for i in range(1, len(p)))
+    assert ts.traversals == Counter((p[i - 1], p[i]) for p in paths
+                                    for i in range(1, len(p)))
+    fresh = TrafficState.from_guide_paths(paths)   # dict views never read
+    given_dicts = traffic(dict(ts.entries), dict(ts.traversals))
+    want = [fcost(e, ts) for e in grid.directed_edges()]
+    for state in (fresh, ts, given_dicts):
+        arr = TrafficCost(state)(grid.tails, grid.heads)
+        assert arr.dtype == np.float64
+        assert arr.tolist() == want
+        assert grid.edge_costs(TrafficCost(state)).tolist() == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_avg_wait_array_equals_pcost_edge_by_edge(data):
+    grid = data.draw(grids())
+    edges = list(grid.directed_edges())
+    gamma = data.draw(st.floats(0.0, 1.0, exclude_min=True))
+    stats = EdgeWaitStats(gamma=gamma)
+    for _ in range(data.draw(st.integers(0, 6))):
+        events = data.draw(st.lists(st.tuples(st.sampled_from(edges),
+                                              st.integers(0, 9)), max_size=8)
+                           if edges else st.just([]))
+        update_wait_stats(stats, events)
+    # Hand-written entries, stale stamps included; an edge may have W
+    # without N or the other way round, and N may be zero.
+    for e in data.draw(st.lists(st.sampled_from(edges), max_size=6)
+                       if edges else st.just([])):
+        stamp = data.draw(st.integers(0, stats.epoch))
+        table = data.draw(st.sampled_from([stats._w, stats._n]))
+        table[e] = (data.draw(st.floats(0.0, 50.0)), stamp)
+    want = [pcost(e, stats) for e in edges]
+    with np.errstate(over="ignore"):   # W / N may overflow, as in pcost
+        arr = AvgWaitCost(stats)(grid.tails, grid.heads)
+    assert arr.dtype == np.float64
+    assert arr.tolist() == want
+    if all(map(math.isfinite, want)):
+        assert grid.edge_costs(AvgWaitCost(stats)).tolist() == want
+
+
+@pytest.mark.parametrize("model", [
+    UnitCost(),
+    TrafficCost(TrafficState.from_guide_paths([[0, 1, 2, 5], [5, 2, 1]])),
+    AvgWaitCost(update_wait_stats(EdgeWaitStats(), [((0, 1), 3), ((1, 0), 0)])),
+])
+def test_edge_costs_calls_a_library_model_once(model, monkeypatch):
+    grid = GridMap(3, 3, [True] * 9)
+    want = [model(u, v) for u, v in grid.directed_edges()]
+    calls = []
+    call = type(model).__call__
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return call(self, u, v)
+
+    monkeypatch.setattr(type(model), "__call__", counted)
+    arr = grid.edge_costs(model)
+    assert len(calls) == 1
+    assert calls[0][0] is grid.tails and calls[0][1] is grid.heads
+    assert arr.tolist() == want

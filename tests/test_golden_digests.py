@@ -1,0 +1,44 @@
+"""Logical-mode outputs pinned byte for byte.
+
+Each case runs a short lifelong simulation and compares the sha256 of its
+logical per-step CSV (:meth:`SimMetrics.csv_text`) with a recorded value.
+A change meant to make the engine faster, not different, must leave every
+digest as it is; a change that alters what the engine computes records
+new digests and says why.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from mapdflow import SimConfig, Simulation, parse_map
+
+MAPS = Path(__file__).resolve().parent.parent / "maps"
+
+# (map, agents, cost model, task distribution, schedule period) -> sha256
+GOLDEN = {
+    ("random32.map", 40, "unit", "uniform", 1):
+        "8dace358e434556e48b18e13026632800d06f80204ec15c9b4c340dd698a8cdd",
+    ("random32.map", 40, "traffic", "uniform", 1):
+        "d42be40dc06429cab9fa0adc387095334e8139586d9cfe8bdb795af70351d5b0",
+    ("warehouse_21x35.map", 60, "avg-wait", "labeled-es", 1):
+        "25d4f927de729cd21795fd228148aa0eb4c1da14768fbfd13e165ea1d011ddf4",
+    ("random32.map", 40, "unit", "uniform", 3):
+        "216f12b90f6f0c753d2833cfa76e11ad8c888530de9694ac917da4f97cce101b",
+    ("random32.map", 40, "traffic", "uniform", 3):
+        "13f967f8f5aa3135534225bb6c469bcd517c6625471194cc3d2824df0f2aceee",
+    ("warehouse_21x35.map", 60, "avg-wait", "labeled-es", 3):
+        "d322493d91cf8d06975b32f95ebc0aa1b2e3741bfbbed8e14db49c4a44be68eb",
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN), ids=lambda c: f"{c[2]}-k{c[4]}")
+def test_logical_csv_digest(case):
+    map_file, agents, cost_model, tasks, period = case
+    grid = parse_map((MAPS / map_file).read_text())
+    config = SimConfig(num_agents=agents, strategy="flow", cost_model=cost_model,
+                       schedule_period=period, task_distribution=tasks,
+                       horizon=60, seed=5)
+    csv = Simulation(grid, config).run().csv_text(logical=True)
+    assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN[case]

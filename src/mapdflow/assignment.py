@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from .grid_map import DistanceProvider, EdgeCost, GridMap
-from .mincost_flow import (FlowInfeasibleError, FlowNetwork, FlowSolution,
+from .mincost_flow import (ArcLayout, FlowNetwork, FlowSolution,
                            solve_min_cost_flow)
 
 
@@ -184,7 +184,7 @@ class GridFlowNetwork:
     cell_of_node: list[int]
     source_edges: dict[int, int]                    # agent id -> edge id
     sink_edges: dict[int, list[tuple[int, int]]]    # node -> [(task id, edge id)]
-    walk_adj: list[list[tuple[int, int, int]]]      # node -> [(head cell, edge, head node)]
+    walk_edges: list[list[int]]     # node -> interior edge ids by ascending head
 
 
 class FlowNetworkBuilder:
@@ -192,8 +192,9 @@ class FlowNetworkBuilder:
 
     The interior of the network (one node per free cell, one arc per
     traversable directed edge, arc ids equal to the grid's edge ids) is
-    fixed by the map, so it is prepared once; each build only takes the
-    edge costs and appends the per-instance source and sink arcs.
+    fixed by the map, so its residual arcs are laid out once, as the
+    shared prefix of every network built; each build only takes the edge
+    costs and appends the per-instance source and sink arcs.
     """
 
     def __init__(self, grid: GridMap):
@@ -202,15 +203,12 @@ class FlowNetworkBuilder:
         node[grid.free_cells] = np.arange(grid.num_free)
         self.node_of_cell = node.tolist()
         self.cell_of_node = list(grid.free_cells)
-        self._tails = node[grid.tails].tolist()
-        self._heads = node[grid.heads].tolist()
-        # Retrieval walks each node's arcs by ascending head cell.
-        order = np.lexsort((grid.heads, grid.tails))
-        heads = grid.heads[order]
-        arcs = list(zip(heads.tolist(), order.tolist(), node[heads].tolist()))
+        self.layout = ArcLayout(grid.num_free, node[grid.tails], node[grid.heads])
+        # Retrieval walks each node's edges by ascending head cell.
+        key = grid.tails.astype(np.int64) * (grid.width * grid.height) + grid.heads
+        order = np.argsort(key).tolist()   # keys are unique
         ptr = grid.indptr.tolist()
-        self.walk_adj = [arcs[ptr[v]:ptr[v + 1]] for v in self.cell_of_node]
-        self.num_interior = len(self._tails)
+        self.walk_edges = [order[ptr[v]:ptr[v + 1]] for v in self.cell_of_node]
 
     def build(self, agents: list[Agent], tasks: list[Task],
               edge_cost: EdgeCost | None = None) -> GridFlowNetwork:
@@ -228,15 +226,11 @@ class FlowNetworkBuilder:
             if not grid.is_free(task.pickup):
                 raise ValueError(f"task {task.id} pickup cell is blocked")
 
-        costs = grid.edge_costs(edge_cost).tolist()
-
         n_free = len(self.cell_of_node)
         source, sink = n_free, n_free + 1
-        net = FlowNetwork(num_nodes=n_free + 2, source=source, sink=sink)
-        net.tails = list(self._tails)
-        net.heads = list(self._heads)
-        net.capacities = [None] * self.num_interior
-        net.costs = costs
+        net = FlowNetwork(num_nodes=n_free + 2, source=source, sink=sink,
+                          layout=self.layout,
+                          layout_costs=grid.edge_costs(edge_cost))
 
         source_edges: dict[int, int] = {}
         for agent in sorted(agents, key=lambda a: a.id):
@@ -259,7 +253,7 @@ class FlowNetworkBuilder:
         return GridFlowNetwork(
             network=net, grid=grid, node_of_cell=self.node_of_cell,
             cell_of_node=self.cell_of_node, source_edges=source_edges,
-            sink_edges=sink_edges, walk_adj=self.walk_adj)
+            sink_edges=sink_edges, walk_edges=self.walk_edges)
 
 
 def build_flow_network(grid: GridMap, agents: list[Agent], tasks: list[Task],
@@ -279,6 +273,7 @@ def retrieve_assignments(solution: FlowSolution, net: GridFlowNetwork,
     carries no flow stay unassigned.
     """
     flow = list(solution.flow)
+    arc_head, cell_of_node = net.network.layout.arc_head, net.cell_of_node
     pairs: dict[int, int] = {}
     guide_paths: dict[int, list[int]] = {}
     max_steps = net.network.num_nodes + 1
@@ -301,11 +296,11 @@ def retrieve_assignments(solution: FlowSolution, net: GridFlowNetwork,
                 guide_paths[agent.id] = path
                 break
             moved = False
-            for head_cell, e, head_node in net.walk_adj[v]:
+            for e in net.walk_edges[v]:
                 if flow[e] > 0:
                     flow[e] -= 1
-                    path.append(head_cell)
-                    v = head_node
+                    v = arc_head[2 * e]
+                    path.append(cell_of_node[v])
                     moved = True
                     break
             if not moved:
@@ -325,18 +320,14 @@ def flow_assign(grid: GridMap, agents: list[Agent], tasks: list[Task],
                 builder: FlowNetworkBuilder | None = None) -> AssignmentSet:
     """Build, solve, and decompose the assignment flow in one call.
 
-    Disconnected instances are handled by the builder, which lowers the
-    required flow to the feasible maximum; the infeasible retry here is a
-    guard against that accounting ever disagreeing with the solver.
+    The builder sets the required flow to the maximum feasible flow,
+    ``min(agents, tasks)`` summed over connected components, so
+    disconnected instances solve directly and every solve is feasible.
     """
     if not agents or not tasks:
         return AssignmentSet()
     if builder is None:
         builder = FlowNetworkBuilder(grid)
     gnet = builder.build(agents, tasks, edge_cost)
-    try:
-        solution = solve_min_cost_flow(gnet.network)
-    except FlowInfeasibleError as exc:
-        gnet.network.required_flow = exc.max_feasible
-        solution = solve_min_cost_flow(gnet.network)
+    solution = solve_min_cost_flow(gnet.network)
     return retrieve_assignments(solution, gnet, agents)

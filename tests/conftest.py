@@ -147,11 +147,11 @@ def residual_has_negative_cycle(net: FlowNetwork, flow, tol=1e-9):
     """Bellman-Ford certificate over the residual network."""
     caps = [c if c is not None else net.required_flow for c in net.capacities]
     arcs = []
-    for e in range(net.num_edges):
-        if flow[e] < caps[e]:
-            arcs.append((net.tails[e], net.heads[e], net.costs[e]))
-        if flow[e] > 0:
-            arcs.append((net.heads[e], net.tails[e], -net.costs[e]))
+    for f, cap, u, v, c in zip(flow, caps, net.tails, net.heads, net.costs):
+        if f < cap:
+            arcs.append((u, v, c))
+        if f > 0:
+            arcs.append((v, u, -c))
     dist = [0.0] * net.num_nodes
     for _ in range(net.num_nodes):
         changed = False

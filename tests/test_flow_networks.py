@@ -1,0 +1,300 @@
+"""The min-cost flow solver on the assignment networks the engine builds.
+
+- Full-size builder networks (random64 and the warehouse map, 50 to 800
+  agents, unit and integer traffic costs, and a map split into components)
+  against ``networkx.network_simplex`` as an independent oracle.
+- The builder's shared per-map layout against the same edges added one by
+  one to a plain network, on rounds recorded from real simulations.
+- Property tests of ``flow_assign`` on small random grids, and a fuzz of
+  real-valued, avg-wait-like costs against the residual certificate.
+"""
+
+import math
+import random
+from pathlib import Path
+
+import networkx as nx
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mapdflow import SimConfig, Simulation, parse_map, simulator
+from mapdflow.assignment import (Agent, FlowNetworkBuilder, Task,
+                                 build_flow_network, flow_assign)
+from mapdflow.cost_models import (AvgWaitCost, EdgeWaitStats, TrafficCost,
+                                  TrafficState, update_wait_stats)
+from mapdflow.grid_map import GridMap
+from mapdflow.mincost_flow import (FlowNetwork, max_flow_value,
+                                   solve_min_cost_flow)
+
+from conftest import residual_has_negative_cycle
+
+MAPS = Path(__file__).resolve().parent.parent / "maps"
+
+
+def load_map(name):
+    return parse_map((MAPS / name).read_text())
+
+
+def random_instance(rng, grid, n_agents, n_tasks):
+    """Agents on distinct cells; pickups drawn with replacement, so some
+    tasks share a pickup cell and the network has parallel sink edges."""
+    cells = grid.free_cells
+    agents = [Agent(id=i, location=c)
+              for i, c in enumerate(rng.sample(cells, n_agents))]
+    tasks = [Task(id=j, pickup=rng.choice(cells), delivery=rng.choice(cells))
+             for j in range(n_tasks)]
+    return agents, tasks
+
+
+def random_walk_traffic(rng, grid, walks, length):
+    """Traffic costs from random-walk guide paths; integer valued."""
+    paths = []
+    for _ in range(walks):
+        path = [rng.choice(grid.free_cells)]
+        for _ in range(length):
+            path.append(rng.choice(grid.neighbors(path[-1]) or [path[-1]]))
+        paths.append(path)
+    return TrafficCost(TrafficState.from_guide_paths(paths))
+
+
+def network_simplex_cost(net):
+    """Optimal cost by networkx on a MultiDiGraph, which keeps parallel
+    edges (a DiGraph would merge the sink edges of tasks sharing a pickup)."""
+    g = nx.MultiDiGraph()
+    g.add_nodes_from(range(net.num_nodes), demand=0)
+    g.nodes[net.source]["demand"] = -net.required_flow
+    g.nodes[net.sink]["demand"] = net.required_flow
+    for u, v, cap, cost in zip(net.tails, net.heads, net.capacities, net.costs):
+        assert cost.is_integer()
+        g.add_edge(u, v, capacity=net.required_flow if cap is None else cap,
+                   weight=int(cost))
+    assert g.number_of_edges() == net.num_edges
+    return nx.network_simplex(g)[0]
+
+
+def assert_feasible_flow(net, sol):
+    """Capacities respected and flow conserved at every inner node."""
+    flow = np.array(sol.flow)
+    caps = np.array([net.required_flow if c is None else c
+                     for c in net.capacities])
+    assert len(flow) == net.num_edges
+    assert ((flow >= 0) & (flow <= caps)).all()
+    excess = (np.bincount(net.tails, flow, minlength=net.num_nodes)
+              - np.bincount(net.heads, flow, minlength=net.num_nodes))
+    want = np.zeros(net.num_nodes)
+    want[net.source], want[net.sink] = sol.value, -sol.value
+    assert (excess == want).all()
+
+
+def split_map():
+    """A 12x6 map cut in two by a wall, with one walled-in cell at (6, 3)."""
+    rows = ["......@.....",
+            "......@.....",
+            "......@.....",
+            ".....@.@....",
+            "......@.....",
+            "......@....."]
+    return GridMap(12, 6, [ch == "." for row in rows for ch in row])
+
+
+def split_instance():
+    grid = split_map()
+    left = [c for c in grid.free_cells if c % 12 < 5]
+    right = [c for c in grid.free_cells if c % 12 > 7]
+    island = 3 * 12 + 6
+    rng = random.Random(3)
+    agent_cells = rng.sample(left, 8) + rng.sample(right, 2) + [island]
+    agents = [Agent(id=i, location=c) for i, c in enumerate(agent_cells)]
+    pickups = [rng.choice(left) for _ in range(3)] + [rng.choice(right) for _ in range(6)]
+    tasks = [Task(id=j, pickup=p, delivery=p) for j, p in enumerate(pickups)]
+    return grid, agents, tasks
+
+
+# -- full-size networks against networkx ----------------------------------------
+
+CASES = [("random64.map", 50, "unit"), ("random64.map", 200, "unit"),
+         ("random64.map", 800, "unit"), ("random64.map", 50, "traffic"),
+         ("random64.map", 200, "traffic"), ("random64.map", 800, "traffic"),
+         ("warehouse_21x35.map", 150, "unit"),
+         ("warehouse_21x35.map", 150, "traffic")]
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0][:-4]}-{c[1]}-{c[2]}")
+def test_builder_network_matches_network_simplex(case):
+    map_file, n_agents, cost = case
+    grid = load_map(map_file)
+    rng = random.Random(n_agents)
+    agents, tasks = random_instance(rng, grid, n_agents, n_agents * 3 // 2)
+    model = random_walk_traffic(rng, grid, n_agents, 30) if cost == "traffic" else None
+    net = build_flow_network(grid, agents, tasks, model).network
+    sol = solve_min_cost_flow(net)
+    assert sol.value == net.required_flow == max_flow_value(net) == n_agents
+    assert_feasible_flow(net, sol)
+    assert sol.total_cost == network_simplex_cost(net)
+
+
+def test_split_map_required_flow_is_max_flow():
+    grid, agents, tasks = split_instance()
+    assert int(grid.component.max()) + 1 == 3
+    net = build_flow_network(grid, agents, tasks).network
+    # min(8, 3) on the left plus min(2, 6) on the right; the island has no task
+    assert net.required_flow == 5 < min(len(agents), len(tasks))
+    sol = solve_min_cost_flow(net)
+    assert sol.value == net.required_flow == max_flow_value(net)
+    assert_feasible_flow(net, sol)
+    assert sol.total_cost == network_simplex_cost(net)
+    aset = flow_assign(grid, agents, tasks)
+    assert len(aset.pairs) == 5
+
+
+def test_arcs_freed_during_a_phase_wait_for_the_next_phase():
+    """Among equal-cost flows the solver returns a fixed one, and logical
+    mode depends on which. An arc that gains residual capacity during a
+    phase (the reverse of an arc just pushed along) is not admissible
+    until the next phase; on this instance, letting the augmenting search
+    take it at once yields another optimum with other pairs."""
+    rows = [".......@",
+            "...@....",
+            ".....@..",
+            ".@.....@",
+            "........",
+            "@@......"]
+    grid = GridMap(8, 6, [ch == "." for row in rows for ch in row])
+    agents = [Agent(id=i, location=c)
+              for i, c in enumerate([42, 37, 46, 10, 29, 35, 3, 8, 39])]
+    tasks = [Task(id=j, pickup=p, delivery=p)
+             for j, p in enumerate([35, 27, 32, 27, 3, 5, 47])]
+    aset = flow_assign(grid, agents, tasks)
+    assert aset.total_cost == 13.0
+    assert aset.pairs == {0: 1, 2: 6, 3: 4, 4: 3, 5: 0, 6: 5, 7: 2}
+
+
+# -- the shared layout is the same network as one built edge by edge -------------
+
+def recorded_rounds(monkeypatch, map_file, agents, cost_model, tasks, steps):
+    """(agents, tasks, edge costs) of every flow round of a short run."""
+    rounds = []
+    real = simulator.flow_assign
+
+    def record(grid, available, pool, edge_cost=None, builder=None):
+        rounds.append(([Agent(id=a.id, location=a.location) for a in available],
+                       [Task(id=t.id, pickup=t.pickup, delivery=t.delivery)
+                        for t in pool],
+                       edge_cost.copy()))
+        return real(grid, available, pool, edge_cost, builder=builder)
+
+    monkeypatch.setattr(simulator, "flow_assign", record)
+    config = SimConfig(num_agents=agents, strategy="flow", cost_model=cost_model,
+                       task_distribution=tasks, horizon=steps, seed=11)
+    grid = load_map(map_file)
+    Simulation(grid, config).run()
+    monkeypatch.undo()
+    return grid, rounds
+
+
+def plain_copy(net):
+    """The same network with every edge added by ``add_edge``."""
+    plain = FlowNetwork(num_nodes=net.num_nodes, source=net.source,
+                        sink=net.sink, required_flow=net.required_flow)
+    for u, v, cap, cost in zip(net.tails, net.heads, net.capacities, net.costs):
+        plain.add_edge(u, v, cap, cost)
+    return plain
+
+
+def solved(net):
+    sol = solve_min_cost_flow(net)
+    return sol.flow, sol.value, sol.total_cost
+
+
+@pytest.mark.parametrize("cost_model", ["unit", "traffic", "avg-wait"])
+@pytest.mark.parametrize("setup", [("random64.map", 120, "uniform"),
+                                   ("warehouse_21x35.map", 100, "labeled-es")],
+                         ids=["random64", "warehouse"])
+def test_shared_layout_solves_like_a_plain_network(monkeypatch, setup, cost_model):
+    map_file, agents, tasks = setup
+    grid, rounds = recorded_rounds(monkeypatch, map_file, agents, cost_model,
+                                   tasks, steps=12)
+    assert len(rounds) >= 9
+    if cost_model == "avg-wait":
+        assert not np.equal(np.floor(rounds[-1][2]), rounds[-1][2]).all()
+    builder = FlowNetworkBuilder(grid)
+    results = []
+    for agents_now, tasks_now, costs in rounds[::4] + rounds[:1]:
+        net = builder.build(agents_now, tasks_now, costs).network
+        assert net.layout is builder.layout
+        results.append(solved(net))
+        assert results[-1] == solved(plain_copy(net))
+    # Rounds A, B, C, then A again from one builder: a solve leaves the
+    # layout as it found it, so A's flow comes out the same both times.
+    assert results[-1] == results[0]
+
+
+# -- flow_assign on small random grids --------------------------------------------
+
+@st.composite
+def grid_instances(draw, real_costs=False):
+    """A small grid, agents on distinct free cells, tasks (pickups may
+    repeat) and per-edge costs >= 1."""
+    width, height = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    free = draw(st.lists(st.booleans(), min_size=width * height,
+                         max_size=width * height))
+    free[draw(st.integers(0, width * height - 1))] = True
+    grid = GridMap(width, height, free)
+    cells = grid.free_cells
+    agent_cells = draw(st.lists(st.sampled_from(cells), min_size=1,
+                                max_size=min(len(cells), 6), unique=True))
+    pickups = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=8))
+    agents = [Agent(id=i, location=c) for i, c in enumerate(agent_cells)]
+    tasks = [Task(id=j, pickup=p, delivery=p) for j, p in enumerate(pickups)]
+    m = len(grid.tails)
+    if real_costs:
+        # Decayed average waits, as AvgWaitCost computes them each round.
+        stats = EdgeWaitStats(gamma=draw(st.floats(0.05, 1.0)))
+        edges = list(grid.directed_edges())
+        for _ in range(draw(st.integers(0, 5))):
+            events = draw(st.lists(st.tuples(st.sampled_from(edges),
+                                             st.integers(0, 9)), max_size=12)
+                          if edges else st.just([]))
+            update_wait_stats(stats, events)
+        costs = grid.edge_costs(AvgWaitCost(stats))
+    else:
+        # Multiples of 1/4: every product and sum below is exact.
+        quarters = draw(st.lists(st.integers(0, 12), min_size=m, max_size=m))
+        costs = 1.0 + np.array(quarters, dtype=np.float64) / 4.0
+    return grid, agents, tasks, costs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(grid_instances())
+def test_flow_assign_guide_paths_match_the_solution(instance):
+    grid, agents, tasks, costs = instance
+    required = build_flow_network(grid, agents, tasks, costs).network.required_flow
+    aset = flow_assign(grid, agents, tasks, costs)
+    assert len(aset.pairs) == required
+    assert len(set(aset.pairs.values())) == len(aset.pairs)
+    cost_of = {(u, v): c for u, v, c in zip(grid.tails.tolist(),
+                                            grid.heads.tolist(), costs.tolist())}
+    location = {a.id: a.location for a in agents}
+    pickup = {t.id: t.pickup for t in tasks}
+    steps = []
+    for agent_id, task_id in aset.pairs.items():
+        path = aset.guide_paths[agent_id]
+        assert path[0] == location[agent_id]
+        assert path[-1] == pickup[task_id]
+        for u, v in zip(path, path[1:]):
+            assert (u, v) in cost_of    # a grid edge
+            steps.append(cost_of[(u, v)])
+    assert aset.total_cost == math.fsum(steps)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(grid_instances(real_costs=True))
+def test_real_costs_solve_to_a_certified_optimum(instance):
+    grid, agents, tasks, costs = instance
+    net = build_flow_network(grid, agents, tasks, costs).network
+    sol = solve_min_cost_flow(net)   # raises "augmentation stalled" if stuck
+    assert sol.value == net.required_flow
+    assert_feasible_flow(net, sol)
+    assert not residual_has_negative_cycle(net, sol.flow, tol=1e-9)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from heapq import heappush, heappop
 
 from .grid_map import GridMap
 
@@ -23,9 +22,12 @@ class GuideHeuristic:
 
     Cells on the path score their remaining path length; other cells score
     the unit-cost detour to the nearest path cell plus that cell's on-path
-    value. Values are expanded lazily by a backward Dijkstra seeded from
-    the whole path, so only the region an agent actually wanders through
-    is ever computed.
+    value. Values come from a lazy breadth-first search that settles one
+    level at a time: level ``d`` is the unsettled neighbours of level
+    ``d - 1`` plus the path cell whose on-path value is ``d``, if it is still
+    unsettled (Dial's algorithm with unit buckets). A query expands whole
+    levels until its cell is settled and the next query resumes from there,
+    so only the region an agent actually wanders through is computed.
     """
 
     def __init__(self, grid: GridMap, path: list[int]):
@@ -34,16 +36,10 @@ class GuideHeuristic:
         self.grid = grid
         self.path = path
         self.goal = path[-1]
-        last = len(path) - 1
+        self._seeds = path[::-1]   # _seeds[d] has on-path value d
         self._settled: dict[int, int] = {}
-        self._frontier: list[tuple[int, int]] = []
-        best: dict[int, int] = {}
-        for i, cell in enumerate(path):
-            value = last - i
-            if value < best.get(cell, 1 << 60):
-                best[cell] = value
-        for cell, value in best.items():
-            heappush(self._frontier, (value, cell))
+        self._level: list[int] = []   # cells settled at depth _depth - 1
+        self._depth = 0
 
     def value(self, cell: int) -> float:
         """Heuristic value at ``cell`` (inf if unreachable from the path)."""
@@ -51,19 +47,30 @@ class GuideHeuristic:
         got = settled.get(cell)
         if got is not None:
             return float(got)
-        frontier = self._frontier
         neighbors = self.grid._neighbors
-        while frontier:
-            d, v = heappop(frontier)
-            if v in settled:
-                continue
-            settled[v] = d
-            for u in neighbors[v]:
-                if u not in settled:
-                    heappush(frontier, (d + 1, u))
-            if v == cell:
-                return float(d)
-        return float("inf")
+        seeds = self._seeds
+        level = self._level
+        d = self._depth
+        while level or d < len(seeds):
+            nxt = []
+            for v in level:
+                for u in neighbors[v]:
+                    if u not in settled:
+                        settled[u] = d
+                        nxt.append(u)
+            if d < len(seeds):
+                seed = seeds[d]
+                if seed not in settled:
+                    settled[seed] = d
+                    nxt.append(seed)
+            level = nxt
+            d += 1
+            if cell in settled:
+                break
+        self._level = level
+        self._depth = d
+        got = settled.get(cell)
+        return float("inf") if got is None else float(got)
 
 
 def build_guide_heuristic(grid: GridMap, path: list[int]) -> GuideHeuristic:

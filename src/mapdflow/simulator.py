@@ -180,7 +180,9 @@ class Simulation:
         self.wait_counters = [0] * n
 
         self.tasks: dict[int, Task] = {}
-        self.active_ids: list[int] = []   # released, not yet delivered
+        # Released, not yet delivered, in release order (values unused).
+        self.active_ids: dict[int, None] = {}
+        self._unpicked = 0   # released, not yet picked up: the task pool
         self.next_task_id = 0
         self.released = 0
         self.delivered = 0
@@ -232,13 +234,13 @@ class Simulation:
         self.next_task_id += 1
         self.released += 1
         self.tasks[task.id] = task
-        self.active_ids.append(task.id)
+        self.active_ids[task.id] = None
+        self._unpicked += 1
         return task
 
     def _pool_size(self) -> int:
         # Task pool = released tasks not yet picked up.
-        return sum(1 for tid in self.active_ids
-                   if self.tasks[tid].state in (TaskState.POOLED, TaskState.ASSIGNED))
+        return self._unpicked
 
     def _release_tasks(self) -> None:
         cfg = self.config
@@ -350,6 +352,10 @@ class Simulation:
         return None
 
     def _verify_step(self, old: list[int], new: list[int]) -> None:
+        for i, (a, b) in enumerate(zip(old, new)):
+            if a != b and b not in self.grid.neighbors(a):
+                raise RuntimeError(
+                    f"illegal move of agent {i} from {a} to {b} at step {self.step_idx}")
         if len(set(new)) != len(new):
             self.metrics.vertex_collisions += 1
             raise RuntimeError(f"vertex collision at step {self.step_idx}: {new}")
@@ -414,7 +420,7 @@ class Simulation:
                     task = self.tasks[agent.carried_task]
                     if agent.location == task.delivery:
                         task.state = TaskState.DELIVERED
-                        self.active_ids.remove(task.id)
+                        del self.active_ids[task.id]
                         self.delivered += 1
                         agent.carried_task = None
                         agent.assigned_task = None
@@ -425,6 +431,7 @@ class Simulation:
                     task = self.tasks[agent.assigned_task]
                     if agent.location == task.pickup:
                         task.state = TaskState.PICKED_UP
+                        self._unpicked -= 1
                         agent.carried_task = task.id
                         agent.guide_path = None   # delivery leg planned next step
                         self.heuristics[agent.id] = None
@@ -465,6 +472,9 @@ class Simulation:
         for t in self.tasks.values():
             counts[t.state] += 1
         assert counts[TaskState.DELIVERED] == self.delivered
+        assert self._pool_size() == counts[TaskState.POOLED] + counts[TaskState.ASSIGNED]
+        assert list(self.active_ids) == [
+            t.id for t in self.tasks.values() if t.state != TaskState.DELIVERED]
         assert len(self.tasks) == self.released
         for agent in self.agents:
             if agent.carried_task is not None:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapdflow.grid_map import GridMap, parse_map, shortest_distances
 from mapdflow.planner import (GuideHeuristic, build_guide_heuristic,
@@ -53,6 +55,53 @@ def test_heuristic_unreachable_cell_inf():
 def test_heuristic_empty_path_rejected(open3x3):
     with pytest.raises(ValueError):
         GuideHeuristic(open3x3, [])
+
+
+@st.composite
+def grids_paths_and_query_orders(draw):
+    """A random grid (sometimes cut in two by a blocked column), a random
+    walk on it that may revisit cells or stay a single cell, and two
+    query orders over every cell of the grid."""
+    width = draw(st.integers(1, 8))
+    height = draw(st.integers(1, 8))
+    n = width * height
+    free = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if width >= 3 and draw(st.booleans()):
+        wall = draw(st.integers(1, width - 2))
+        for y in range(height):
+            free[y * width + wall] = False
+    free[0] = True
+    grid = GridMap(width, height, free)
+    path = [draw(st.sampled_from(grid.free_cells))]
+    for k in draw(st.lists(st.integers(0, 3), max_size=25)):
+        options = grid.neighbors(path[-1])
+        if options:
+            path.append(options[k % len(options)])
+    order_a = draw(st.permutations(range(n)))
+    order_b = draw(st.permutations(range(n)))
+    return grid, path, order_a, order_b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(grids_paths_and_query_orders())
+def test_heuristic_matches_multi_source_oracle(case):
+    grid, path, order_a, order_b = case
+    last = len(path) - 1
+    tables = {c: shortest_distances(grid, c) for c in set(path)}
+    expected = {}
+    for c in range(grid.width * grid.height):
+        expected[c] = min((tables[p][c] + last - i for i, p in enumerate(path)
+                           if c in tables[p]), default=float("inf"))
+    # Two heuristics on one path, queried in different orders with the
+    # queries interleaved, so each resumes its search from a different
+    # point; both must give exactly the oracle's values.
+    h_a = GuideHeuristic(grid, path)
+    h_b = GuideHeuristic(grid, path)
+    for ca, cb in zip(order_a, order_b):
+        assert h_a.value(ca) == expected[ca]
+        assert h_b.value(cb) == expected[cb]
+    for c in order_a:
+        assert h_a.value(c) == h_b.value(c) == expected[c]
 
 
 # -- priorities ------------------------------------------------------------------

@@ -3,9 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from mapdflow import simulator
 from mapdflow.assignment import TaskState
 from mapdflow.grid_map import GridMap, parse_map
 from mapdflow.mapgen import random_map, warehouse_map
+from mapdflow.planner import ActionStep
 from mapdflow.simulator import SimConfig, Simulation, run
 
 MAPS = Path(__file__).resolve().parent.parent / "maps"
@@ -319,3 +321,35 @@ def test_avg_wait_costs_are_a_round_snapshot(strategy):
     sim.run()
     assert sim.step_idx == 10
     sim.check_invariants()
+
+
+@pytest.mark.parametrize("target", [7, 3], ids=["teleport", "into-wall"])
+def test_verify_step_rejects_illegal_move(monkeypatch, target):
+    # ...@      The agent at cell 2 may only reach 1 or 6 in one step:
+    # ....      7 is free but not adjacent, 3 is adjacent but blocked.
+    grid = parse_map("type octile\nheight 2\nwidth 4\nmap\n...@\n....\n")
+    cfg = SimConfig(num_agents=1, pool_ratio=1.0, horizon=1, seed=0)
+    sim = Simulation(grid, cfg, preset_starts=[2], preset_tasks=[(5, 4)])
+
+    def illegal_step(grid, locations, heuristics, priorities):
+        return ActionStep(locations=[target], moved=[True])
+
+    monkeypatch.setattr(simulator, "pibt_step", illegal_step)
+    with pytest.raises(RuntimeError, match="illegal move"):
+        sim.step()
+
+
+@pytest.mark.parametrize("strategy", ["flow", "greedy", "linear"])
+@pytest.mark.parametrize("pool_policy", ["constant-ratio", "per-step"])
+def test_pool_counter_matches_task_states(strategy, pool_policy):
+    # check_invariants compares the pool counter and the active-task order
+    # with a scan of every task's state after each step.
+    grid = random_map(10, 10, 0.2, seed=7)
+    cfg = SimConfig(num_agents=5, strategy=strategy, pool_policy=pool_policy,
+                    schedule_period=2, horizon=40, seed=1)
+    sim = Simulation(grid, cfg)
+    sim.check_invariants()
+    for _ in range(40):
+        sim.step()
+        sim.check_invariants()
+    assert sim.delivered > 0

@@ -223,6 +223,8 @@ def run_cli(argv: list[str] | None = None) -> int:
             parser.error(f"unknown cost model {cost!r}")
     if args.trace and not args.out:
         parser.error("--trace requires --out")
+    if args.task_budget is not None and args.release_f is None:
+        parser.error("--task-budget requires --release-f")
 
     logical = args.budget_ms is None
     base = SimConfig(

@@ -5,8 +5,8 @@ priority order; when a preferred cell is occupied, the occupant inherits
 the priority and plans first, backtracking if it cannot make room. The
 resulting step never contains a vertex collision or an edge swap.
 
-Movement preferences come from a guide-path heuristic: remaining path
-length for cells on the guide path, detour-to-path plus on-path value.
+Movement preferences come from a guide-path heuristic, which for a path
+of unit moves is the unit distance to the path's last cell.
 """
 
 from __future__ import annotations
@@ -18,51 +18,45 @@ from .grid_map import GridMap
 
 
 class GuideHeuristic:
-    """Distance-to-goal estimates anchored on a guide path.
+    """Distance-to-goal estimates for an agent following a guide path.
 
-    Cells on the path score their remaining path length; other cells score
-    the unit-cost detour to the nearest path cell plus that cell's on-path
-    value. Values come from a lazy breadth-first search that settles one
-    level at a time: level ``d`` is the unsettled neighbours of level
-    ``d - 1`` plus the path cell whose on-path value is ``d``, if it is still
-    unsettled (Dial's algorithm with unit buckets). A query expands whole
-    levels until its cell is settled and the next query resumes from there,
-    so only the region an agent actually wanders through is computed.
+    The detour-to-path estimate a path defines is the least, over path
+    cells ``path[i]``, of ``dist(c, path[i]) + len(path) - 1 - i``. Every
+    path step is a stay or a 4-neighbour move, so the remaining length
+    ``len(path) - 1 - i`` is at least ``dist(path[i], goal)``; by the
+    triangle inequality the goal term is always least, and ``value(c)`` is
+    the unit distance from ``c`` to the path's last cell. It comes from a
+    lazy breadth-first search from the goal: a query expands whole levels
+    until its cell is settled and the next query resumes from there.
     """
 
     def __init__(self, grid: GridMap, path: list[int]):
         if not path:
             raise ValueError("guide path must contain at least one cell")
+        if any(a != b and b not in grid.neighbors(a) for a, b in zip(path, path[1:])):
+            raise ValueError("guide path steps must be stays or 4-neighbour moves")
         self.grid = grid
-        self.path = path
         self.goal = path[-1]
-        self._seeds = path[::-1]   # _seeds[d] has on-path value d
-        self._settled: dict[int, int] = {}
-        self._level: list[int] = []   # cells settled at depth _depth - 1
-        self._depth = 0
+        self._settled: dict[int, int] = {self.goal: 0}
+        self._level: list[int] = [self.goal]   # cells settled at _depth - 1
+        self._depth = 1
 
     def value(self, cell: int) -> float:
-        """Heuristic value at ``cell`` (inf if unreachable from the path)."""
+        """Heuristic value at ``cell`` (inf if unreachable from the goal)."""
         settled = self._settled
         got = settled.get(cell)
         if got is not None:
             return float(got)
         neighbors = self.grid._neighbors
-        seeds = self._seeds
         level = self._level
         d = self._depth
-        while level or d < len(seeds):
+        while level:
             nxt = []
             for v in level:
                 for u in neighbors[v]:
                     if u not in settled:
                         settled[u] = d
                         nxt.append(u)
-            if d < len(seeds):
-                seed = seeds[d]
-                if seed not in settled:
-                    settled[seed] = d
-                    nxt.append(seed)
             level = nxt
             d += 1
             if cell in settled:

@@ -173,9 +173,14 @@ class Simulation:
             picks = self.rng.choice(grid.num_free, size=config.num_agents,
                                     replace=False)
             start_cells = [grid.free_cells[int(c)] for c in picks]
+        for pickup, delivery in self._preset_tasks:
+            if not (grid.is_free(pickup) and grid.is_free(delivery)
+                    and self._component[pickup] == self._component[delivery]):
+                raise ValueError(f"preset task ({pickup}, {delivery}) needs two "
+                                 "free cells in one connected component")
         self.agents = [Agent(id=i, location=c) for i, c in enumerate(start_cells)]
         n = config.num_agents
-        self.heuristics: list[GuideHeuristic | None] = [None] * n
+        self._fields: dict[int, GuideHeuristic] = {}   # goal -> its heuristic
         self.priorities = update_priorities([0.0] * n, [False] * n, [False] * n)
         self.wait_counters = [0] * n
 
@@ -327,7 +332,6 @@ class Simulation:
             if agent.assigned_task is not None and agent.assigned_task != new_tid:
                 self.tasks[agent.assigned_task].state = TaskState.POOLED
                 agent.guide_path = None
-                self.heuristics[agent.id] = None
             if new_tid is None:
                 agent.assigned_task = None
         for agent in available:
@@ -335,12 +339,6 @@ class Simulation:
             if new_tid is not None:
                 agent.assigned_task = new_tid
                 self.tasks[new_tid].state = TaskState.ASSIGNED
-
-    def _commit_paths(self, staged: dict[int, list[int]]) -> None:
-        for agent_id, path in staged.items():
-            agent = self.agents[agent_id]
-            agent.guide_path = path
-            self.heuristics[agent_id] = GuideHeuristic(self.grid, path)
 
     # -- step ----------------------------------------------------------------
 
@@ -397,10 +395,17 @@ class Simulation:
                 self._commit_round(aset, available)
                 round_cost = aset.total_cost
                 self.metrics.total_assignment_cost += round_cost
-            self._commit_paths(staged_paths)
+            for agent_id, path in staged_paths.items():
+                self.agents[agent_id].guide_path = path
 
+            # One heuristic per goal: kept while some agent heads there.
+            goals = [self._goal_of(a) for a in self.agents]
+            kept = self._fields
+            self._fields = {g: kept[g] if g in kept else GuideHeuristic(self.grid, [g])
+                            for g in set(goals) - {None}}
+            heuristics = [self._fields.get(g) for g in goals]
             old = [a.location for a in self.agents]
-            action = pibt_step(self.grid, old, self.heuristics, self.priorities)
+            action = pibt_step(self.grid, old, heuristics, self.priorities)
             self._verify_step(old, action.locations)
             for i, agent in enumerate(self.agents):
                 agent.location = action.locations[i]
@@ -425,7 +430,6 @@ class Simulation:
                         agent.carried_task = None
                         agent.assigned_task = None
                         agent.guide_path = None
-                        self.heuristics[agent.id] = None
                         reached[agent.id] = True
                 elif agent.assigned_task is not None:
                     task = self.tasks[agent.assigned_task]
@@ -434,7 +438,6 @@ class Simulation:
                         self._unpicked -= 1
                         agent.carried_task = task.id
                         agent.guide_path = None   # delivery leg planned next step
-                        self.heuristics[agent.id] = None
                         reached[agent.id] = True
 
         update_wait_stats(self.wait_stats, events)

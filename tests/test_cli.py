@@ -51,6 +51,13 @@ def test_trace_requires_out(map_file):
         run_cli(["--map", map_file, "--trace"])
 
 
+def test_task_budget_requires_release_f(map_file, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["--map", map_file, "--task-budget", "3", "--steps", "5"])
+    assert err.value.code == 2
+    assert "--task-budget requires --release-f" in capsys.readouterr().err
+
+
 def test_seed_list_produces_one_row_each(map_file, tmp_path, capsys):
     out = str(tmp_path / "res")
     rc = run_cli(["--map", map_file, "--agents", "3", "--steps", "20",

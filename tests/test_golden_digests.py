@@ -54,3 +54,34 @@ def test_logical_csv_digest(case):
                        horizon=HORIZON.get(case, 60), seed=5)
     csv = Simulation(grid, config).run().csv_text(logical=True)
     assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN[case]
+
+
+# Greedy and linear assignment, which the flow cases above do not reach:
+# (strategy, map, agents, cost model, task distribution, schedule period)
+# -> sha256, 60 steps at seed 5 like the flow cases.
+BASELINE_GOLDEN = {
+    ("greedy", "random32.map", 40, "unit", "uniform", 1):
+        "753c2c7a5ac0565848a2fe634bbe7701e6defdbab0e02aac7502b11a03a4150b",
+    ("greedy", "random32.map", 40, "traffic", "uniform", 3):
+        "266a84a724adbda3baec650715106f1ed9d0b83a7e9fdd9dbbe5d2ebe118479f",
+    ("greedy", "warehouse_21x35.map", 60, "avg-wait", "labeled-es", 1):
+        "f21cfb90487f2988c32c82848d5a6a99e1b788ab59b502937d43778ea261b4ee",
+    ("linear", "random32.map", 40, "unit", "uniform", 1):
+        "1c15a95faaeb3e1c5cb8c3608980eb700c400e37f6c85ad14cbdc5413c937dbf",
+    ("linear", "random32.map", 40, "traffic", "uniform", 3):
+        "fa63937dfa3fbea98c5cb46185a0591f1197e5ba649a423da5281a3a4cf50d74",
+    ("linear", "warehouse_21x35.map", 60, "avg-wait", "labeled-es", 1):
+        "342ab00b45eedd0fc731e1d4d0d73235eb3e24ec31885c6167309ecaa0ce49b4",
+}
+
+
+@pytest.mark.parametrize("case", list(BASELINE_GOLDEN),
+                         ids=lambda c: f"{c[0]}-{case_id(c[1:])}")
+def test_baseline_strategy_csv_digest(case):
+    strategy, map_file, agents, cost_model, tasks, period = case
+    grid = parse_map((MAPS / map_file).read_text())
+    config = SimConfig(num_agents=agents, strategy=strategy,
+                       cost_model=cost_model, schedule_period=period,
+                       task_distribution=tasks, horizon=60, seed=5)
+    csv = Simulation(grid, config).run().csv_text(logical=True)
+    assert hashlib.sha256(csv.encode()).hexdigest() == BASELINE_GOLDEN[case]

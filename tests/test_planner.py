@@ -104,6 +104,25 @@ def test_heuristic_matches_multi_source_oracle(case):
         assert h_a.value(c) == h_b.value(c) == expected[c]
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(grids_paths_and_query_orders())
+def test_heuristic_is_unit_distance_to_goal(case):
+    # Along a path of stays and unit moves, no path cell is closer to the
+    # goal by detour than its remaining path length, so only the goal counts.
+    grid, path, order_a, _ = case
+    goal_dist = shortest_distances(grid, path[-1])
+    h = GuideHeuristic(grid, path)
+    for c in order_a:
+        assert h.value(c) == goal_dist.get(c, float("inf"))
+
+
+@pytest.mark.parametrize("path", [[0, 2], [0, 4], [1, 1, 7]],
+                         ids=["jump", "diagonal", "after-stay"])
+def test_heuristic_rejects_non_unit_step(open3x3, path):
+    with pytest.raises(ValueError, match="4-neighbour"):
+        GuideHeuristic(open3x3, path)
+
+
 # -- priorities ------------------------------------------------------------------
 
 def test_priority_reset_on_goal():

@@ -308,6 +308,16 @@ def test_preset_tasks_consumed_in_order():
     assert [(t.pickup, t.delivery) for t in sim.tasks.values()] == [(1, 2), (3, 4)]
 
 
+@pytest.mark.parametrize("preset", [(0, 4), (2, 0), (0, 2)],
+                         ids=["other-component", "blocked-pickup",
+                              "blocked-delivery"])
+def test_preset_task_validated_at_construction(preset):
+    grid = parse_map("type octile\nheight 1\nwidth 5\nmap\n..@..\n")
+    cfg = SimConfig(num_agents=1, pool_ratio=1.0, horizon=5, seed=0)
+    with pytest.raises(ValueError, match="preset task"):
+        Simulation(grid, cfg, preset_starts=[1], preset_tasks=[preset])
+
+
 @pytest.mark.parametrize("strategy", ["flow", "greedy", "linear"])
 def test_avg_wait_costs_are_a_round_snapshot(strategy):
     # Wait statistics change every step, but a delivery leg staged between
@@ -353,3 +363,34 @@ def test_pool_counter_matches_task_states(strategy, pool_policy):
         sim.step()
         sim.check_invariants()
     assert sim.delivered > 0
+
+
+def test_agents_with_one_goal_share_one_heuristic(monkeypatch):
+    grid = parse_map(MAPS.joinpath("warehouse_21x35.map").read_text())
+    cfg = SimConfig(num_agents=60, cost_model="avg-wait",
+                    task_distribution="labeled-es", horizon=40, seed=5)
+    sim = Simulation(grid, cfg)
+    shared_steps = 0
+    last_step = {}   # goal -> heuristic at the previous step
+    real_step = simulator.pibt_step
+
+    def checked_step(grid, locations, heuristics, priorities):
+        nonlocal shared_steps, last_step
+        by_goal = {}
+        for agent, h in zip(sim.agents, heuristics):
+            goal = sim._goal_of(agent)
+            assert (h is None) == (goal is None)
+            if h is not None:
+                assert h.goal == goal
+                assert by_goal.setdefault(goal, h) is h
+                assert last_step.get(goal, h) is h   # kept while still a goal
+        assert set(sim._fields) == set(by_goal)   # no field outlives its goal
+        if len(by_goal) < sum(h is not None for h in heuristics):
+            shared_steps += 1
+        last_step = by_goal
+        return real_step(grid, locations, heuristics, priorities)
+
+    monkeypatch.setattr(simulator, "pibt_step", checked_step)
+    sim.run()
+    assert sim.step_idx == 40
+    assert shared_steps > 0

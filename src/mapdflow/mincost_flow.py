@@ -13,9 +13,17 @@ with other networks: the residual arcs of those edges (heads, and each
 node's arcs in the order the solver scans them) are laid out once, and a
 network only adds the costs of the prefix and its own edges. The
 assignment builder lays a map's interior out once and adds each round's
-source and sink edges; a network built only with ``add_edge`` has an
-empty prefix. The solver copies what it mutates, so one layout serves any
-number of solves.
+source and sink edges; a network built only with ``add_edge`` gets an
+empty layout of its own.
+
+A solve borrows its layout's residual workspace and restores what it
+changed before it returns or raises: it rewrites arc costs only where they
+differ from the last solve's, and resets only the arcs it pushed flow
+along. Potentials change only at the nodes a phase's Dijkstra settles,
+and scratch arrays are reset only where a phase touched them. So after
+the layout is built, a round costs what its searches touch, not the size
+of the map. Solves on one layout run one at a time; a second solve while
+one holds the workspace raises.
 
 Costs may be arbitrary nonnegative reals; no cost scaling is used. Flow
 amounts are exact integers whenever all capacities are integers.
@@ -24,12 +32,18 @@ amounts are exact integers whenever all capacities are integers.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
 
 import numpy as np
 
 _INF = float("inf")
+# Residual of an uncapacitated layout arc. It never binds: flow on an edge
+# is at most what was sent, so a push, capped at what is still to send,
+# never exhausts it.
+_UNBOUNDED = sys.maxsize
 
 
 class FlowInfeasibleError(RuntimeError):
@@ -49,6 +63,13 @@ class ArcLayout:
     ``2e + 1``. ``arc_head[a]`` is the head of arc ``a``, and ``adj[v]``
     lists the arcs leaving node ``v`` by ascending arc id, the order in
     which the solver scans them. Both are read-only once built.
+
+    The layout also owns the residual workspace that every solve of a
+    network on it borrows: arc heads, residuals and costs of the layout
+    arcs, as lists. A solve appends its network's own arcs, updates the
+    costs only where they differ from the last solve's, and before it
+    returns or raises truncates its own arcs and resets the residuals it
+    changed. So one layout serves any number of solves, one at a time.
     """
 
     def __init__(self, num_nodes: int, tails, heads):
@@ -72,9 +93,12 @@ class ArcLayout:
         self.num_edges = m
         self.arc_head: list[int] = arc_head.tolist()
         self.adj: list[list[int]] = [order[ptr[v]:ptr[v + 1]] for v in range(num_nodes)]
-
-
-_EMPTY_LAYOUT = ArcLayout(0, [], [])
+        # The workspace, as no solve has changed it: no flow, zero costs.
+        self._head = list(self.arc_head)
+        self._res = [_UNBOUNDED, 0] * m
+        self._edge_costs = np.zeros(m)      # the costs ``_cost`` holds
+        self._cost = [0.0, -0.0] * m
+        self._busy = threading.Lock()      # held by the solve using the workspace
 
 
 @dataclass(eq=False)
@@ -95,7 +119,7 @@ class FlowNetwork:
     source: int
     sink: int
     required_flow: int = 0
-    layout: ArcLayout = _EMPTY_LAYOUT
+    layout: ArcLayout = field(default_factory=lambda: ArcLayout(0, [], []))
     layout_costs: np.ndarray = field(default_factory=lambda: np.zeros(0))
     _tails: list[int] = field(default_factory=list, init=False, repr=False)
     _heads: list[int] = field(default_factory=list, init=False, repr=False)
@@ -229,56 +253,76 @@ class _PrimalDualSolver:
     """One-shot solver state over a paired-arc residual representation.
 
     Arc ``2e`` is edge ``e`` forward, arc ``2e + 1`` its reverse. The
-    shared layout's lists are only read; the network's own edges are
-    appended to copies, each after the layout arcs of its tail node, which
-    keeps every node's arcs in ascending arc id order.
+    arc lists are the layout's workspace, with the network's own edges
+    appended, each after the layout arcs of its tail node, which keeps
+    every node's arcs in ascending arc id order.
     """
 
     def __init__(self, net: FlowNetwork):
         self.net = net
-        layout = net.layout
-        m0 = layout.num_edges
+        self.layout = net.layout
         n = net.num_nodes
         self.n = n
-        bound = net.required_flow
+        self.pi = [0.0] * n
+        # Per-phase scratch; each phase resets the entries it touched.
+        self.dist = [_INF] * n
+        self.done = [False] * n
+        self.it = [0] * n
+        self.dead = [False] * n
+        self.on_path = [False] * n
+        # Arcs whose residual a push changed in earlier phases, and the
+        # phase-start residuals of those the current phase changed.
+        self.touched: set[int] = set()
+        self.phase_res: dict[int, int] = {}
+        costs = np.concatenate((net.layout_costs, net._costs))
+        max_cost = float(costs.max()) if len(costs) else 0.0
+        int_mode = bool(np.equal(np.floor(costs), costs).all())
+        self.eps = 0.0 if int_mode else 1e-10 * (1.0 + max_cost)
 
-        adj = layout.adj + [[] for _ in range(n - layout.num_nodes)]
-        own_heads: list[int] = []
-        own_res: list[int] = []
+    def _borrow(self):
+        """Load the network into the layout's workspace."""
+        net, layout = self.net, self.layout
+        cost = layout._cost
+        new, old = net.layout_costs, layout._edge_costs
+        # bit patterns, so that a flip between 0.0 and -0.0 counts too
+        changed = np.flatnonzero(new.view(np.int64) != old.view(np.int64))
+        for e, c in zip(changed.tolist(), new[changed].tolist()):
+            cost[2 * e] = c
+            cost[2 * e + 1] = -c
+        old[changed] = new[changed]
+
+        adj = layout.adj + [[] for _ in range(self.n - layout.num_nodes)]
+        head, res = layout._head, layout._res
+        bound = net.required_flow
         own_arcs: dict[int, list[int]] = {}
-        a = 2 * m0
-        for u, v, cap in zip(net._tails, net._heads, net._caps):
-            own_heads += (v, u)
-            own_res += (bound if cap is None else cap, 0)
+        a = len(head)
+        for u, v, cap, c in zip(net._tails, net._heads, net._caps, net._costs):
+            head += (v, u)
+            res += (bound if cap is None else cap, 0)
+            cost += (c, -c)
             own_arcs.setdefault(u, []).append(a)
             own_arcs.setdefault(v, []).append(a + 1)
             a += 2
         for v, arcs in own_arcs.items():
             adj[v] = adj[v] + arcs
-        self.adj = adj
-        self.head = layout.arc_head + own_heads
-        # residual of arc 2e + 1 is the flow on edge e
-        self.res = [bound, 0] * m0 + own_res
-        self.edge_costs = costs = np.concatenate((net.layout_costs, net._costs))
-        arc_cost = np.empty(2 * len(costs), dtype=np.float64)
-        arc_cost[0::2] = costs
-        arc_cost[1::2] = -costs
-        self.cost = arc_cost.tolist()
+        self.adj, self.head, self.res, self.cost = adj, head, res, cost
 
-        # The same potentials twice: a list for the Python loops to index,
-        # an array for the one-call update per phase.
-        self.pi = [0.0] * n
-        self.pi_np = np.zeros(n)
-        max_cost = float(costs.max()) if len(costs) else 0.0
-        int_mode = bool(np.equal(np.floor(costs), costs).all())
-        self.eps = 0.0 if int_mode else 1e-10 * (1.0 + max_cost)
+    def _restore(self):
+        """Leave the workspace as :meth:`_borrow` found it."""
+        layout = self.layout
+        base = 2 * layout.num_edges
+        del layout._head[base:], layout._res[base:], layout._cost[base:]
+        res = layout._res
+        self.touched.update(self.phase_res)    # a phase cut short by an error
+        for a in self.touched:
+            if a < base:
+                res[a] = 0 if a & 1 else _UNBOUNDED
 
     def _dijkstra(self) -> tuple[list[int], list[float], float]:
         """The nodes finalized up to the sink (the sink last), their
         reduced-cost distances from the source, and the sink's distance."""
-        n, s, t = self.n, self.net.source, self.net.sink
-        dist = [_INF] * n
-        done = [False] * n
+        s, t = self.net.source, self.net.sink
+        dist, done = self.dist, self.done
         finalized: list[int] = []
         final_dist: list[float] = []
         dist[s] = 0.0
@@ -308,15 +352,22 @@ class _PrimalDualSolver:
                 if nd < dist[u]:
                     dist[u] = nd
                     heappush(heap, (nd, u))
+        # Every node given a distance was finalized or is still queued.
+        for v in finalized:
+            done[v] = False
+            dist[v] = _INF
+        for _, v in heap:
+            dist[v] = _INF
         return finalized, final_dist, d_sink
 
     def _update_potentials(self, finalized: list[int], final_dist: list[float],
                            d_sink: float):
-        # pi += where(done, dist, d_sink), one IEEE add per node
-        step = np.full(self.n, d_sink)
-        step[finalized] = final_dist
-        self.pi_np += step
-        self.pi = self.pi_np.tolist()
+        # pi += where(done, dist, d_sink) - d_sink: a shift of every
+        # potential by one constant leaves all reduced costs as they are,
+        # so only the finalized nodes change.
+        pi = self.pi
+        for v, d in zip(finalized, final_dist):
+            pi[v] += d - d_sink
 
     def _augment_phase(self, limit: int) -> int:
         """Push up to ``limit`` units along zero-reduced-cost residual paths.
@@ -325,12 +376,11 @@ class _PrimalDualSolver:
         had residual capacity at the start of the phase; arcs that gain
         capacity during the phase wait for the next one.
         """
-        n, s, t, eps = self.n, self.net.source, self.net.sink, self.eps
+        s, t, eps = self.net.source, self.net.sink, self.eps
         head, res, cost, adj, pi = self.head, self.res, self.cost, self.adj, self.pi
-        start_res: dict[int, int] = {}   # phase-start residual of changed arcs
-        it = [0] * n
-        dead = [False] * n
-        on_path = [False] * n
+        it, dead, on_path = self.it, self.dead, self.on_path
+        start_res = self.phase_res = {}   # phase-start residual of changed arcs
+        visited = [s]
         sent = 0
         while sent < limit:
             path_nodes = [s]
@@ -367,6 +417,7 @@ class _PrimalDualSolver:
                         path_nodes.append(u)
                         path_arcs.append(a)
                         on_path[u] = True
+                        visited.append(u)
                         advanced = True
                         break
                     i += 1
@@ -381,9 +432,25 @@ class _PrimalDualSolver:
                         it[path_nodes[-1]] += 1
             if not found:
                 break
+        # on_path is clear again; it and dead changed only where visited
+        for v in visited:
+            it[v] = 0
+            dead[v] = False
+        self.touched.update(start_res)
         return sent
 
     def solve(self) -> FlowSolution:
+        busy = self.layout._busy
+        if not busy.acquire(blocking=False):
+            raise RuntimeError("another solve holds this layout's workspace")
+        try:
+            self._borrow()
+            return self._solve()
+        finally:
+            self._restore()
+            busy.release()
+
+    def _solve(self) -> FlowSolution:
         required = self.net.required_flow
         sent = 0
         while sent < required:
@@ -398,12 +465,16 @@ class _PrimalDualSolver:
                 # loudly rather than loop at the same distance forever.
                 raise RuntimeError("augmentation stalled with reachable sink")
             sent += pushed
-        flow = self.res[1::2]
-        amounts = np.array(flow, dtype=np.int64)
-        used = np.flatnonzero(amounts)
+        res, cost = self.res, self.cost
+        flow = [0] * self.net.num_edges
+        terms: list[float] = []
+        for e in {a >> 1 for a in self.touched}:
+            f = res[2 * e + 1]   # residual of the reverse arc is the flow
+            if f:
+                flow[e] = f
+                terms.append(f * cost[2 * e])
         # fsum rounds the exact sum once, so the summation order is free
-        total = math.fsum((amounts[used] * self.edge_costs[used]).tolist())
-        return FlowSolution(flow=flow, value=sent, total_cost=total)
+        return FlowSolution(flow=flow, value=sent, total_cost=math.fsum(terms))
 
 
 def solve_min_cost_flow(net: FlowNetwork) -> FlowSolution:

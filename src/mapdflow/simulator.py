@@ -390,6 +390,7 @@ class Simulation:
                 for a in self.agents:
                     self.trace_rows.append(
                         (self.step_idx + 1, a.id, a.location, a.location, "timeout"))
+            has_goal = [self._goal_of(a) is not None for a in self.agents]
         else:
             if aset is not None:
                 self._commit_round(aset, available)
@@ -419,7 +420,9 @@ class Simulation:
                     self.trace_rows.append(
                         (self.step_idx + 1, i, old[i], agent.location, kind))
 
-            # Phase 4: pickups and deliveries at the new locations.
+            # Phase 4: pickups and deliveries at the new locations. A
+            # pickup swaps the goal for the delivery cell; a delivery clears it.
+            has_goal = [g is not None for g in goals]
             for agent in self.agents:
                 if agent.is_delivering:
                     task = self.tasks[agent.carried_task]
@@ -431,6 +434,7 @@ class Simulation:
                         agent.assigned_task = None
                         agent.guide_path = None
                         reached[agent.id] = True
+                        has_goal[agent.id] = False
                 elif agent.assigned_task is not None:
                     task = self.tasks[agent.assigned_task]
                     if agent.location == task.pickup:
@@ -443,7 +447,6 @@ class Simulation:
         update_wait_stats(self.wait_stats, events)
         self._release_tasks()
 
-        has_goal = [self._goal_of(a) is not None for a in self.agents]
         self.priorities = update_priorities(self.priorities, reached, has_goal)
 
         self.step_idx += 1

@@ -7,6 +7,9 @@
   one to a plain network, on rounds recorded from real simulations.
 - Property tests of ``flow_assign`` on small random grids, and a fuzz of
   real-valued, avg-wait-like costs against the residual certificate.
+- The residual workspace a layout lends its solves: a run of rounds on one
+  builder against fresh builders, an infeasible solve, and solves that
+  overlap.
 """
 
 import math
@@ -19,14 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapdflow import SimConfig, Simulation, parse_map, simulator
+from mapdflow import SimConfig, Simulation, mincost_flow, parse_map, simulator
 from mapdflow.assignment import (Agent, FlowNetworkBuilder, Task,
                                  build_flow_network, flow_assign)
 from mapdflow.cost_models import (AvgWaitCost, EdgeWaitStats, TrafficCost,
                                   TrafficState, update_wait_stats)
 from mapdflow.grid_map import GridMap
-from mapdflow.mincost_flow import (FlowNetwork, max_flow_value,
-                                   solve_min_cost_flow)
+from mapdflow.mincost_flow import (ArcLayout, FlowInfeasibleError, FlowNetwork,
+                                   max_flow_value, solve_min_cost_flow)
 
 from conftest import residual_has_negative_cycle
 
@@ -233,32 +236,46 @@ def test_shared_layout_solves_like_a_plain_network(monkeypatch, setup, cost_mode
 
 # -- flow_assign on small random grids --------------------------------------------
 
-@st.composite
-def grid_instances(draw, real_costs=False):
-    """A small grid, agents on distinct free cells, tasks (pickups may
-    repeat) and per-edge costs >= 1."""
+def draw_grid(draw):
+    """A grid of up to 7x7 cells with at least one free cell."""
     width, height = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     free = draw(st.lists(st.booleans(), min_size=width * height,
                          max_size=width * height))
     free[draw(st.integers(0, width * height - 1))] = True
-    grid = GridMap(width, height, free)
-    cells = grid.free_cells
+    return GridMap(width, height, free)
+
+
+def draw_agents_and_tasks(draw, cells):
+    """Agents on distinct cells and tasks whose pickups may repeat."""
     agent_cells = draw(st.lists(st.sampled_from(cells), min_size=1,
                                 max_size=min(len(cells), 6), unique=True))
     pickups = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=8))
     agents = [Agent(id=i, location=c) for i, c in enumerate(agent_cells)]
     tasks = [Task(id=j, pickup=p, delivery=p) for j, p in enumerate(pickups)]
+    return agents, tasks
+
+
+def draw_wait_costs(draw, grid):
+    """Decayed average waits, as AvgWaitCost computes them each round."""
+    stats = EdgeWaitStats(gamma=draw(st.floats(0.05, 1.0)))
+    edges = list(grid.directed_edges())
+    for _ in range(draw(st.integers(0, 5))):
+        events = draw(st.lists(st.tuples(st.sampled_from(edges),
+                                         st.integers(0, 9)), max_size=12)
+                      if edges else st.just([]))
+        update_wait_stats(stats, events)
+    return grid.edge_costs(AvgWaitCost(stats))
+
+
+@st.composite
+def grid_instances(draw, real_costs=False):
+    """A small grid, agents on distinct free cells, tasks (pickups may
+    repeat) and per-edge costs >= 1."""
+    grid = draw_grid(draw)
+    agents, tasks = draw_agents_and_tasks(draw, grid.free_cells)
     m = len(grid.tails)
     if real_costs:
-        # Decayed average waits, as AvgWaitCost computes them each round.
-        stats = EdgeWaitStats(gamma=draw(st.floats(0.05, 1.0)))
-        edges = list(grid.directed_edges())
-        for _ in range(draw(st.integers(0, 5))):
-            events = draw(st.lists(st.tuples(st.sampled_from(edges),
-                                             st.integers(0, 9)), max_size=12)
-                          if edges else st.just([]))
-            update_wait_stats(stats, events)
-        costs = grid.edge_costs(AvgWaitCost(stats))
+        costs = draw_wait_costs(draw, grid)
     else:
         # Multiples of 1/4: every product and sum below is exact.
         quarters = draw(st.lists(st.integers(0, 12), min_size=m, max_size=m))
@@ -298,3 +315,126 @@ def test_real_costs_solve_to_a_certified_optimum(instance):
     assert sol.value == net.required_flow
     assert_feasible_flow(net, sol)
     assert not residual_has_negative_cycle(net, sol.flow, tol=1e-9)
+
+
+# -- the residual workspace a layout lends its solves ------------------------------
+
+def outcome(net):
+    """Flow, value and the exact repr of the cost of solving ``net``."""
+    sol = solve_min_cost_flow(net)
+    return sol.flow, sol.value, repr(sol.total_cost)
+
+
+def assert_workspace_as_built(layout, costs):
+    """The workspace of ``layout`` holds no flow and, bit for bit, the arc
+    costs of ``costs``, as a fresh layout loaded with them would."""
+    fresh = ArcLayout(layout.num_nodes, layout.arc_head[1::2], layout.arc_head[0::2])
+    assert layout._head == fresh._head == layout.arc_head
+    assert layout._res == fresh._res
+    arc_costs = [x for c in costs.tolist() for x in (c, -c)]
+    assert list(map(repr, layout._cost)) == list(map(repr, arc_costs))
+    assert not layout._busy.locked()
+
+
+@st.composite
+def builder_rounds(draw):
+    """A small grid and 2 to 5 rounds on it. Each round has its own agents
+    and tasks, and edge costs that are new multiples of 1/4 (zeros
+    included), new avg-wait costs, the previous round's array again, or
+    that array with the sign of every zero flipped."""
+    grid = draw_grid(draw)
+    m = len(grid.tails)
+    costs = np.ones(m)
+    rounds = []
+    for _ in range(draw(st.integers(2, 5))):
+        agents, tasks = draw_agents_and_tasks(draw, grid.free_cells)
+        kind = draw(st.sampled_from(["quarters", "avg-wait", "same", "flip-zeros"]))
+        if kind == "quarters":
+            quarters = draw(st.lists(st.integers(0, 8), min_size=m, max_size=m))
+            costs = np.array(quarters, dtype=np.float64) / 4.0
+        elif kind == "avg-wait":
+            costs = draw_wait_costs(draw, grid)
+        elif kind == "flip-zeros":
+            costs = np.where(costs == 0.0, -costs, costs)
+        rounds.append((agents, tasks, costs))
+    return grid, rounds
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(builder_rounds())
+def test_rounds_on_one_builder_solve_like_fresh_builders(instance):
+    grid, rounds = instance
+    builder = FlowNetworkBuilder(grid)
+    loaded = np.zeros(len(grid.tails))
+    for agents, tasks, costs in rounds:
+        net = builder.build(agents, tasks, costs).network
+        fresh = FlowNetworkBuilder(grid).build(agents, tasks, costs).network
+        assert outcome(net) == outcome(fresh)
+        if net.required_flow:    # a solve of no flow never loads the costs
+            loaded = costs
+        assert_workspace_as_built(builder.layout, loaded)
+
+
+def test_infeasible_solve_leaves_the_layout_as_built():
+    grid, agents, tasks = split_instance()
+    builder = FlowNetworkBuilder(grid)
+    costs = np.arange(len(grid.tails), dtype=np.float64) % 3 + 1.0
+    net = builder.build(agents, tasks, costs).network
+    net.required_flow += 1
+    with pytest.raises(FlowInfeasibleError) as err:
+        solve_min_cost_flow(net)
+    assert err.value.max_feasible == net.required_flow - 1
+    assert_workspace_as_built(builder.layout, costs)
+    again = builder.build(agents, tasks, costs).network
+    fresh = FlowNetworkBuilder(grid).build(agents, tasks, costs).network
+    assert outcome(again) == outcome(fresh)
+
+
+def solve_with_a_nested_solve(monkeypatch, outer, inner):
+    """Solve ``outer``; in its first Dijkstra phase, solve ``inner``.
+    Returns the outer outcome and the inner one or the error it raised."""
+    nested = []
+    real = mincost_flow._PrimalDualSolver._dijkstra
+
+    def dijkstra(self):
+        if self.net is outer and not nested:
+            try:
+                nested.append(outcome(inner))
+            except RuntimeError as exc:
+                nested.append(exc)
+        return real(self)
+
+    monkeypatch.setattr(mincost_flow._PrimalDualSolver, "_dijkstra", dijkstra)
+    result = outcome(outer)
+    monkeypatch.undo()
+    return result, nested[0]
+
+
+def test_plain_networks_share_no_workspace(monkeypatch):
+    def diamond():
+        net = FlowNetwork(num_nodes=5, source=0, sink=4, required_flow=2)
+        net.add_edge(0, 1, 2, 0.0)
+        net.add_edge(1, 2, None, 1.0)
+        net.add_edge(1, 3, None, 3.0)
+        net.add_edge(2, 4, 1, 0.0)
+        net.add_edge(3, 4, 1, 0.0)
+        return net
+
+    a, b = diamond(), diamond()
+    assert a.layout is not b.layout
+    alone = outcome(diamond())
+    assert alone == ([2, 1, 1, 1, 1], 2, "4.0")
+    assert solve_with_a_nested_solve(monkeypatch, a, b) == (alone, alone)
+
+
+def test_a_solve_on_a_held_layout_raises(monkeypatch):
+    grid, agents, tasks = split_instance()
+    builder = FlowNetworkBuilder(grid)
+    outer = builder.build(agents, tasks).network
+    inner = builder.build(agents[:3], tasks[:3]).network
+    expected = outcome(FlowNetworkBuilder(grid).build(agents, tasks).network)
+    result, error = solve_with_a_nested_solve(monkeypatch, outer, inner)
+    assert isinstance(error, RuntimeError)
+    assert "holds this layout's workspace" in str(error)
+    assert result == expected     # the refused solve left the outer one alone
+    assert_workspace_as_built(builder.layout, grid.edge_costs(None))

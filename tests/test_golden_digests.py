@@ -32,6 +32,8 @@ GOLDEN = {
         "d322493d91cf8d06975b32f95ebc0aa1b2e3741bfbbed8e14db49c4a44be68eb",
     ("random64.map", 200, "unit", "uniform", 1):
         "c922334ea9d9f4ef02761d84a37fba8616d8c9dfac233451d61ce820cb0b7823",
+    ("random64.map", 200, "traffic", "uniform", 1):
+        "062eed7417f8c22cea4413bb4169b5f80e55c26b46a77e3e92c6468a94aedc95",
 }
 
 # Steps per case (default 60). The benchmark map runs longer so that guide

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush, heappop
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Container, Iterable, Iterator, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -320,8 +320,9 @@ class DistanceProvider:
     The costs are taken once, at construction, as an array aligned to the
     grid's edge ids (see :meth:`GridMap.edge_costs`). Each goal's table is
     one Dijkstra from the goal over the transposed graph, so arc costs stay
-    in the forward travel direction, and is cached per goal cell. Also
-    extracts concrete shortest paths by greedy descent over a table.
+    in the forward travel direction, and is cached per goal cell until
+    :meth:`retain` drops it. Also extracts concrete shortest paths by
+    greedy descent over a table.
     """
 
     def __init__(self, grid: GridMap, edge_cost: EdgeCost | None = None):
@@ -340,6 +341,10 @@ class DistanceProvider:
                 raise ValueError(f"goal cell {goal} is blocked or out of range")
             cached = self._tables[goal] = dijkstra(self._backward, indices=goal)
         return cached
+
+    def retain(self, goals: Container[int]) -> None:
+        """Drop the cached tables of every goal not in ``goals``."""
+        self._tables = {g: t for g, t in self._tables.items() if g in goals}
 
     def distance(self, source: int, goal: int) -> float:
         if not self.grid.in_bounds(source):

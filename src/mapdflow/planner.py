@@ -12,7 +12,9 @@ of unit moves is the unit distance to the path's last cell.
 from __future__ import annotations
 
 import sys
+from array import array
 from dataclasses import dataclass
+from math import inf
 
 from .grid_map import GridMap
 
@@ -27,7 +29,8 @@ class GuideHeuristic:
     triangle inequality the goal term is always least, and ``value(c)`` is
     the unit distance from ``c`` to the path's last cell. It comes from a
     lazy breadth-first search from the goal: a query expands whole levels
-    until its cell is settled and the next query resumes from there.
+    until its cell is settled and the next query resumes from there, in one
+    float32 array over the map's cells that reads inf until a cell settles.
     """
 
     def __init__(self, grid: GridMap, path: list[int]):
@@ -37,34 +40,33 @@ class GuideHeuristic:
             raise ValueError("guide path steps must be stays or 4-neighbour moves")
         self.grid = grid
         self.goal = path[-1]
-        self._settled: dict[int, int] = {self.goal: 0}
+        self._dist = array("f", [inf]) * (grid.width * grid.height)
+        self._dist[self.goal] = 0.0
         self._level: list[int] = [self.goal]   # cells settled at _depth - 1
         self._depth = 1
 
     def value(self, cell: int) -> float:
-        """Heuristic value at ``cell`` (inf if unreachable from the goal)."""
-        settled = self._settled
-        got = settled.get(cell)
-        if got is not None:
-            return float(got)
+        """Heuristic value at ``cell`` (inf if unreachable or off the map)."""
+        dist = self._dist
+        if not 0 <= cell < len(dist):
+            return inf
+        got = dist[cell]
+        if got != inf:
+            return got
         neighbors = self.grid._neighbors
-        level = self._level
-        d = self._depth
-        while level:
+        level, d = self._level, self._depth
+        while got == inf and level:
             nxt = []
             for v in level:
                 for u in neighbors[v]:
-                    if u not in settled:
-                        settled[u] = d
+                    if dist[u] == inf:
+                        dist[u] = d
                         nxt.append(u)
             level = nxt
             d += 1
-            if cell in settled:
-                break
-        self._level = level
-        self._depth = d
-        got = settled.get(cell)
-        return float("inf") if got is None else float(got)
+            got = dist[cell]
+        self._level, self._depth = level, d
+        return got
 
 
 def build_guide_heuristic(grid: GridMap, path: list[int]) -> GuideHeuristic:
@@ -131,10 +133,8 @@ def pibt_step(grid: GridMap, locations: list[int],
         h = heuristics[i]
         if h is None:
             return [cur] + grid.neighbors(cur)
-        cells = grid.neighbors(cur) + [cur]
-        scored = [h.value(c) for c in cells]
-        order = sorted(range(len(cells)), key=lambda k: (scored[k], k))
-        return [cells[k] for k in order]
+        # Stable: ties keep neighbour order, with waiting last.
+        return sorted(grid.neighbors(cur) + [cur], key=h.value)
 
     def plan(i: int, pusher: int | None) -> bool:
         for cell in candidates(i):

@@ -278,6 +278,10 @@ class Simulation:
         self.rounds_run += 1
         self.edge_cost = self._round_cost_model()
         if cfg.cost_model == "unit":
+            # Unit tables outlive the round only for goals still in play.
+            tasks = self.tasks
+            self._unit_provider.retain({c for tid in self.active_ids for c in
+                                        (tasks[tid].pickup, tasks[tid].delivery)})
             self.provider = self._unit_provider
         else:
             self.provider = DistanceProvider(self.grid, self.edge_cost)

@@ -4,15 +4,17 @@ Each case runs a short lifelong simulation and compares the sha256 of its
 logical per-step CSV (:meth:`SimMetrics.csv_text`) with a recorded value.
 A change meant to make the engine faster, not different, must leave every
 digest as it is; a change that alters what the engine computes records
-new digests and says why.
+new digests and says why. The flow runs are also traced, and the trace is
+replayed against the map alone (:func:`check_trace`).
 """
 
 import hashlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from mapdflow import SimConfig, Simulation, parse_map
+from mapdflow import SimConfig, Simulation, parse_map, random_map
 
 MAPS = Path(__file__).resolve().parent.parent / "maps"
 
@@ -47,6 +49,74 @@ def case_id(case):
     return f"{prefix}{cost_model}-k{period}"
 
 
+def check_trace(sim):
+    """Replay ``sim.trace_rows`` using map coordinates and free cells only.
+
+    Every step lists each agent once, in id order. Each agent starts a step
+    where it ended the last one and either waits or moves to a free cell at
+    Manhattan distance 1. No two agents end a step on one cell or swap
+    cells. The last step ends where the agents are.
+    """
+    grid, n = sim.grid, len(sim.agents)
+    assert len(sim.trace_rows) == n * sim.step_idx
+    where = None
+    for t in range(sim.step_idx):
+        rows = sim.trace_rows[t * n:(t + 1) * n]
+        assert [r[:2] for r in rows] == [(t + 1, i) for i in range(n)]
+        old = [r[2] for r in rows]
+        new = [r[3] for r in rows]
+        assert where is None or old == where, f"agent jumped between steps at {t + 1}"
+        for a, b, kind in zip(old, new, (r[4] for r in rows)):
+            assert kind == ("move" if a != b else "wait")
+            if a != b:
+                (ya, xa), (yb, xb) = divmod(a, grid.width), divmod(b, grid.width)
+                assert abs(ya - yb) + abs(xa - xb) == 1, f"jump {a}->{b} at {t + 1}"
+                assert grid.free[b], f"move into blocked cell {b} at {t + 1}"
+        assert len(set(new)) == n, f"shared cell at step {t + 1}"
+        moves = {(a, b) for a, b in zip(old, new) if a != b}
+        assert not any((b, a) in moves for a, b in moves), f"swap at step {t + 1}"
+        where = new
+    assert where == [a.location for a in sim.agents]
+    sim.check_invariants()
+
+
+# ....   cells 0 1 2 3
+# ..@.         4 5 6 7   (6 blocked); two agents, last cells per case.
+REPLAY_CASES = {
+    "valid": ([(1, 0, 0, 1, "move"), (1, 1, 5, 5, "wait"),
+               (2, 0, 1, 2, "move"), (2, 1, 5, 4, "move")], [2, 4]),
+    "jump": ([(1, 0, 0, 2, "move"), (1, 1, 5, 5, "wait")], [2, 5]),
+    "wrap": ([(1, 0, 3, 4, "move"), (1, 1, 5, 5, "wait")], [4, 5]),
+    "blocked": ([(1, 0, 2, 6, "move"), (1, 1, 5, 5, "wait")], [6, 5]),
+    "shared": ([(1, 0, 0, 1, "move"), (1, 1, 5, 1, "move")], [1, 1]),
+    "swap": ([(1, 0, 0, 1, "move"), (1, 1, 1, 0, "move")], [1, 0]),
+    "restart": ([(1, 0, 0, 1, "move"), (1, 1, 5, 5, "wait"),
+                 (2, 0, 2, 2, "wait"), (2, 1, 5, 5, "wait")], [2, 5]),
+    "kind": ([(1, 0, 0, 0, "move"), (1, 1, 5, 5, "wait")], [0, 5]),
+}
+
+
+@pytest.mark.parametrize("name", list(REPLAY_CASES))
+def test_check_trace_rejects_fabricated_faults(name):
+    rows, last = REPLAY_CASES[name]
+    grid = parse_map("type octile\nheight 2\nwidth 4\nmap\n....\n..@.\n")
+    sim = SimpleNamespace(grid=grid, trace_rows=rows, step_idx=rows[-1][0],
+                          agents=[SimpleNamespace(location=c) for c in last],
+                          check_invariants=lambda: None)
+    if name == "valid":
+        check_trace(sim)
+    else:
+        with pytest.raises(AssertionError):
+            check_trace(sim)
+
+
+def run_traced(grid, config):
+    sim = Simulation(grid, config, trace=True)
+    csv = sim.run().csv_text(logical=True)
+    check_trace(sim)
+    return hashlib.sha256(csv.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("case", list(GOLDEN), ids=case_id)
 def test_logical_csv_digest(case):
     map_file, agents, cost_model, tasks, period = case
@@ -54,8 +124,20 @@ def test_logical_csv_digest(case):
     config = SimConfig(num_agents=agents, strategy="flow", cost_model=cost_model,
                        schedule_period=period, task_distribution=tasks,
                        horizon=HORIZON.get(case, 60), seed=5)
-    csv = Simulation(grid, config).run().csv_text(logical=True)
-    assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN[case]
+    assert run_traced(grid, config) == GOLDEN[case]
+
+
+# A generated 128 x 128 map with 1000 agents (50 steps, about 10 s): legs of
+# ~90 cells and ~1000 live goal fields, the scale at which field storage and
+# the distance-table cache show.
+RANDOM128_GOLDEN = "9388c7015eee34ca107b97beda3b86272ca53920b5990829b642988cadb25f06"
+
+
+def test_random128_csv_digest():
+    grid = random_map(128, 128, 0.2, seed=1)
+    config = SimConfig(num_agents=1000, strategy="flow", cost_model="unit",
+                       horizon=50, seed=5)
+    assert run_traced(grid, config) == RANDOM128_GOLDEN
 
 
 # Greedy and linear assignment, which the flow cases above do not reach:

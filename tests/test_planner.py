@@ -52,6 +52,14 @@ def test_heuristic_unreachable_cell_inf():
     assert h.value(2) == float("inf")
 
 
+@pytest.mark.parametrize("cell", [-1, 9], ids=["before", "after"])
+def test_heuristic_off_map_cell_inf(open3x3, cell):
+    # Cells -1 and width * height lie just outside the map's cell range.
+    h = build_guide_heuristic(open3x3, [4])
+    assert h.value(cell) == float("inf")
+    assert h.value(0) == 2
+
+
 def test_heuristic_empty_path_rejected(open3x3):
     with pytest.raises(ValueError):
         GuideHeuristic(open3x3, [])

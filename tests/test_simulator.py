@@ -394,3 +394,32 @@ def test_agents_with_one_goal_share_one_heuristic(monkeypatch):
     sim.run()
     assert sim.step_idx == 40
     assert shared_steps > 0
+
+
+@pytest.mark.parametrize("period", [1, 3])
+@pytest.mark.parametrize("strategy", ["flow", "greedy"])
+def test_unit_tables_cached_only_for_active_task_endpoints(monkeypatch, strategy,
+                                                           period):
+    # A round drops the unit tables of goals no released, undelivered task
+    # has; the round's own staging adds only such goals.
+    grid = random_map(24, 24, 0.2, seed=3)
+    cfg = SimConfig(num_agents=20, strategy=strategy, schedule_period=period,
+                    horizon=60, seed=4)
+    sim = Simulation(grid, cfg)
+    rounds = 0
+    real_stage = Simulation._stage_guide_paths
+
+    def checked_stage(self, aset, available):
+        nonlocal rounds
+        staged = real_stage(self, aset, available)
+        if aset is not None:
+            rounds += 1
+            endpoints = {c for tid in self.active_ids for c in
+                         (self.tasks[tid].pickup, self.tasks[tid].delivery)}
+            assert set(self._unit_provider._tables) <= endpoints
+        return staged
+
+    monkeypatch.setattr(Simulation, "_stage_guide_paths", checked_stage)
+    sim.run()
+    assert rounds == math.ceil(60 / period)
+    assert sim.delivered > 0

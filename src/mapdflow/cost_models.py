@@ -7,35 +7,41 @@ reference formulas. The model classes :class:`UnitCost`,
 :class:`TrafficCost` and :class:`AvgWaitCost` take either one edge
 ``(tail, head)`` as ints, giving a float, or equal-length int arrays of
 tails and heads, giving a float64 array equal to the scalar formula on
-every edge, bit for bit. :meth:`mapdflow.grid_map.GridMap.edge_costs`
-evaluates a model over all of a map's edges in that one array call.
+every edge, bit for bit.
+
+The congestion states come in two forms. Without a grid they hold dicts,
+read edge by edge by the scalar formulas. On a grid, as the simulator
+builds them, they hold arrays over the grid's cells and edge ids, updated
+only where something changes, and are read whole: a model over such a
+state takes only the grid's own edge arrays (what
+:meth:`mapdflow.grid_map.GridMap.edge_costs` passes) and prices them in
+one numpy expression.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
 from itertools import chain
-from typing import Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-
-def _edge_keys(tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """One int64 per directed edge, ordered by tail, then head.
-
-    Cells are row-major grid indices, so nonnegative and below 2**32.
-    """
-    return (np.asarray(tails, dtype=np.int64) << 32) | np.asarray(heads, dtype=np.int64)
+if TYPE_CHECKING:
+    from .grid_map import GridMap
 
 
-def _lookup(keys: np.ndarray, values: np.ndarray, query: np.ndarray,
-            missing) -> np.ndarray:
-    """``values`` at each ``query`` key found in the sorted ``keys``, else ``missing``."""
-    if len(keys) == 0:
-        return np.full(len(query), missing, dtype=values.dtype)
-    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-    return np.where(keys[at] == query, values[at], missing)
+def _per_edge(formula: Callable, state, tails: np.ndarray,
+              heads: np.ndarray) -> np.ndarray:
+    """``formula((tail, head), state)`` at every queried edge, as float64."""
+    return np.array([formula(e, state) for e in zip(tails.tolist(), heads.tolist())],
+                    dtype=np.float64)
+
+
+def _check_own_edges(grid: GridMap, tails, heads) -> None:
+    if tails is not grid.tails or heads is not grid.heads:
+        raise ValueError("a state on a grid is priced over that grid's "
+                         "edge arrays only")
 
 
 class TrafficState:
@@ -44,70 +50,71 @@ class TrafficState:
     ``entries[v]`` counts agents entering cell ``v`` along their planned
     path (one count per entry event, so revisits count again);
     ``traversals[(u, v)]`` counts planned directed traversals of edge
-    ``(u, v)``. Rebuilt from scratch each planning cycle.
+    ``(u, v)``. A path's second and later cells are entries, each entered
+    from the cell before it.
 
-    A state is either given as these two dicts or counted from guide paths
-    by :meth:`from_guide_paths`. The latter keeps sorted count arrays and
-    builds the dicts only when they are first read, as read-only views.
+    A state is given as these two dicts, or counted from paths by
+    :meth:`from_guide_paths`. :meth:`on_grid` instead starts an empty state
+    that keeps the counts as ``entry_counts`` by cell and
+    ``traversal_counts`` by edge id, in place of the dicts, kept current by
+    :meth:`set_paths`.
     """
 
     def __init__(self, entries: dict[int, int] | None = None,
                  traversals: dict[tuple[int, int], int] | None = None):
-        self._entries = {} if entries is None else entries
-        self._traversals = {} if traversals is None else traversals
-        self._counted: tuple[np.ndarray, ...] | None = None
+        self.entries = {} if entries is None else entries
+        self.traversals = {} if traversals is None else traversals
+        self.grid: GridMap | None = None
 
     @classmethod
     def from_guide_paths(cls, paths: Iterable[list[int]]) -> "TrafficState":
-        # A path's second and later cells are entries, each entered from
-        # the cell before it in the same path.
-        paths = [p for p in paths if len(p) > 1]
-        lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
-        flat = np.fromiter(chain.from_iterable(paths), dtype=np.int64,
-                           count=int(lengths.sum()))
-        entered = np.ones(len(flat), dtype=bool)
-        entered[np.cumsum(lengths) - lengths] = False
-        at = np.flatnonzero(entered)
+        entries, traversals = Counter(), Counter()
+        for path in paths:
+            entries.update(path[1:])
+            traversals.update(zip(path, path[1:]))
+        return cls(dict(entries), dict(traversals))
+
+    @classmethod
+    def on_grid(cls, grid: GridMap) -> "TrafficState":
         ts = cls()
-        ts._entries = ts._traversals = None
-        ts._counted = (*np.unique(flat[at], return_counts=True),
-                       *np.unique(_edge_keys(flat[at - 1], flat[at]),
-                                  return_counts=True))
+        ts.entries = ts.traversals = None
+        ts.grid = grid
+        ts.entry_counts = np.zeros(grid.width * grid.height, dtype=np.int64)
+        ts.traversal_counts = np.zeros(grid.num_directed_edges(), dtype=np.int64)
+        ts._counted: list[list[int] | None] = []   # per slot, the path counted
         return ts
 
-    @property
-    def entries(self) -> dict[int, int]:
-        if self._entries is None:
-            cells, counts = self._counted[:2]
-            self._entries = dict(zip(cells.tolist(), counts.tolist()))
-        return self._entries
+    def set_paths(self, paths: list[list[int] | None]) -> None:
+        """Make the counts those of ``paths``, one slot each (None for no path).
 
-    @property
-    def traversals(self) -> dict[tuple[int, int], int]:
-        if self._traversals is None:
-            keys, counts = self._counted[2:]
-            edges = zip((keys >> 32).tolist(), (keys & 0xFFFFFFFF).tolist())
-            self._traversals = dict(zip(edges, counts.tolist()))
-        return self._traversals
+        For states from :meth:`on_grid`. Only a slot that holds another
+        list object than at the last call is recounted (slots past the end
+        of ``paths`` hold None), so a counted path must not change in
+        place. A step between non-adjacent cells counts as an entry only.
+        """
+        counted = self._counted
+        paths = list(paths) + [None] * (len(counted) - len(paths))
+        counted += [None] * (len(paths) - len(counted))
+        gone, new = [], []
+        for i, path in enumerate(paths):
+            if path is not counted[i]:
+                if counted[i]:
+                    gone.append(counted[i])
+                if path:
+                    new.append(path)
+                counted[i] = path
+        self._add(gone, -1)
+        self._add(new, 1)
 
-    def _count_arrays(self) -> tuple[np.ndarray, ...]:
-        """``(cells, entry counts, edge keys, traversal counts)``: the
-        counts as arrays, each pair sorted by its first array."""
-        if self._counted is not None:
-            return self._counted
-        # Given as dicts: count from them as they are now.
-        n = len(self._traversals)
-        ends = np.fromiter(chain.from_iterable(self._traversals),
-                           dtype=np.int64, count=2 * n)
-        keys = _edge_keys(ends[0::2], ends[1::2])
-        cells = np.fromiter(self._entries, dtype=np.int64, count=len(self._entries))
-        by_cell, by_key = np.argsort(cells), np.argsort(keys)
-        entry_counts = np.fromiter(self._entries.values(), dtype=np.int64,
-                                   count=len(cells))
-        traversal_counts = np.fromiter(self._traversals.values(),
-                                       dtype=np.int64, count=n)
-        return (cells[by_cell], entry_counts[by_cell],
-                keys[by_key], traversal_counts[by_key])
+    def _add(self, paths: list[list[int]], sign: int) -> None:
+        paths = [p for p in paths if len(p) > 1]
+        if not paths:
+            return
+        tails = np.fromiter(chain.from_iterable(p[:-1] for p in paths), dtype=np.int64)
+        heads = np.fromiter(chain.from_iterable(p[1:] for p in paths), dtype=np.int64)
+        np.add.at(self.entry_counts, heads, sign)
+        ids = self.grid.edge_ids(tails, heads)
+        np.add.at(self.traversal_counts, ids[ids >= 0], sign)
 
 
 def vertex_congestion(v: int, ts: TrafficState) -> float:
@@ -133,25 +140,45 @@ def unit_cost(e: tuple[int, int]) -> float:
     return 1.0
 
 
-@dataclass
 class EdgeWaitStats:
     """Per-edge decayed waiting statistics observed during execution.
 
     ``W[e]`` is the decayed total waiting time before traversing ``e`` and
-    ``N[e]`` the decayed traversal count. The decay factor gamma is applied
-    once per planning window to every edge; storage is lazy (per-edge epoch
-    stamps) since decay cancels in the W/N ratio and only matters when new
-    events are mixed in.
+    ``N[e]`` the decayed traversal count. Each :meth:`apply_window` call
+    decays every edge by gamma once; the simulator makes that call once
+    per step, off-round and timed-out steps included. Storage is lazy: a
+    stored value carries the epoch it was written at (its stamp) and is
+    decayed by ``gamma ** age`` when read, since decay cancels in the W/N
+    ratio and only matters when new events are mixed in.
+
+    Without a grid, ``_w`` and ``_n`` map an edge ``(tail, head)`` to a
+    ``(value, stamp)`` pair. With one, ``w``, ``n`` and their common
+    ``stamp`` are arrays over the grid's edge ids instead, read whole by
+    :class:`AvgWaitCost`.
     """
 
-    gamma: float = 0.9
-    _w: dict[tuple[int, int], tuple[float, int]] = field(default_factory=dict)
-    _n: dict[tuple[int, int], tuple[float, int]] = field(default_factory=dict)
-    epoch: int = 0
-
-    def __post_init__(self):
-        if not (0.0 < self.gamma <= 1.0):
+    def __init__(self, gamma: float = 0.9, grid: GridMap | None = None):
+        if not (0.0 < gamma <= 1.0):
             raise ValueError("gamma must be in (0, 1]")
+        self.gamma = gamma
+        self.epoch = 0
+        self.grid = grid
+        self._w: dict[tuple[int, int], tuple[float, int]] | None = {}
+        self._n: dict[tuple[int, int], tuple[float, int]] | None = {}
+        if grid is not None:
+            self._w = self._n = None
+            m = grid.num_directed_edges()
+            self.w, self.n = np.zeros(m), np.zeros(m)
+            self.stamp = np.zeros(m, dtype=np.int64)
+            self._powers = np.ones(1)
+
+    def decay(self, ages: np.ndarray) -> np.ndarray:
+        """``gamma ** age`` at each age in ``[0, epoch]``: one Python power
+        per age, cached, so equal bit for bit to the per-edge reads."""
+        if len(self._powers) <= self.epoch:
+            gamma = self.gamma
+            self._powers = np.array([gamma ** k for k in range(2 * self.epoch + 1)])
+        return self._powers[ages]
 
     def _current(self, table: dict, e: tuple[int, int]) -> float:
         stored = table.get(e)
@@ -169,28 +196,51 @@ class EdgeWaitStats:
         return self._current(self._n, e)
 
     def apply_window(self, events: Iterable[tuple[tuple[int, int], int]]) -> None:
-        """Advance one planning window: decay everything, add this window's events.
+        """Advance one epoch: decay everything, add this epoch's events.
 
         Each event is ``(edge, wait_steps)`` for one traversal of ``edge``
         after ``wait_steps`` consecutive waits at its tail. Events on the
         same edge are aggregated before the decayed update, so their order
         is irrelevant.
+
+        Raises:
+            ValueError: On a negative wait, or, with a grid, on an event
+                whose pair of cells is not one of the grid's edges.
         """
-        per_edge: dict[tuple[int, int], tuple[int, int]] = {}
-        for e, t in events:
-            if t < 0:
-                raise ValueError("wait time must be nonnegative")
-            total_t, count = per_edge.get(e, (0, 0))
-            per_edge[e] = (total_t + t, count + 1)
+        events = list(events)
+        if any(t < 0 for _, t in events):
+            raise ValueError("wait time must be nonnegative")
+        if self.grid is None:
+            per_edge: dict[tuple[int, int], tuple[int, int]] = {}
+            for e, t in events:
+                total_t, count = per_edge.get(e, (0, 0))
+                per_edge[e] = (total_t + t, count + 1)
+            self.epoch += 1
+            for e, (total_t, count) in per_edge.items():
+                self._w[e] = (self._current(self._w, e) + total_t, self.epoch)
+                self._n[e] = (self._current(self._n, e) + count, self.epoch)
+            return
+        edges, waits = zip(*events) if events else ((), ())
+        ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64,
+                           count=2 * len(edges))
+        ids = self.grid.edge_ids(ends[0::2], ends[1::2])
+        if (ids < 0).any():
+            raise ValueError("wait event on a pair of cells that is not an edge")
         self.epoch += 1
-        for e, (total_t, count) in per_edge.items():
-            self._w[e] = (self._current(self._w, e) + total_t, self.epoch)
-            self._n[e] = (self._current(self._n, e) + count, self.epoch)
+        # Integer sums per edge, then one decayed update of each touched edge.
+        count = np.bincount(ids, minlength=len(self.n))
+        total = np.bincount(ids, weights=np.array(waits, dtype=np.float64),
+                            minlength=len(self.w))
+        at = np.flatnonzero(count)
+        factor = self.decay(self.epoch - self.stamp[at])
+        self.w[at] = self.w[at] * factor + total[at]
+        self.n[at] = self.n[at] * factor + count[at]
+        self.stamp[at] = self.epoch
 
 
 def update_wait_stats(stats: EdgeWaitStats,
                       events: Iterable[tuple[tuple[int, int], int]]) -> EdgeWaitStats:
-    """One planning-window update of the decayed wait statistics."""
+    """One step's update of the decayed wait statistics."""
     stats.apply_window(events)
     return stats
 
@@ -213,60 +263,46 @@ class UnitCost:
 
 
 class TrafficCost:
-    """Congestion-estimate edge cost (:func:`fcost`) over a fixed snapshot."""
+    """Congestion-estimate edge cost (:func:`fcost`) over a traffic state,
+    read as it is at the call."""
 
     def __init__(self, ts: TrafficState):
         self.ts = ts
 
     def __call__(self, u, v):
-        if not isinstance(u, np.ndarray):
+        grid = self.ts.grid
+        if grid is None:
+            if isinstance(u, np.ndarray):
+                return _per_edge(fcost, self.ts, u, v)
             return fcost((u, v), self.ts)
-        cells, entry_counts, keys, traversal_counts = self.ts._count_arrays()
-        n_v = _lookup(cells, entry_counts, np.asarray(v, dtype=np.int64), 0)
-        vc = np.where(n_v > 1, np.ceil((n_v - 1) / 2), 0.0)
-        # Contraflow is nonzero only on traversed edges: take it per
-        # traversed edge, then look the queried edges up once.
-        reverse = ((keys & 0xFFFFFFFF) << 32) | (keys >> 32)
-        both_ways = traversal_counts * _lookup(keys, traversal_counts, reverse, 0)
-        cf = _lookup(keys, both_ways, _edge_keys(u, v), 0).astype(np.float64)
-        return 1.0 + vc + cf
+        _check_own_edges(grid, u, v)
+        n = self.ts.entry_counts
+        congestion = np.where(n > 1, np.ceil((n - 1) / 2), 0.0)
+        t = self.ts.traversal_counts
+        return 1.0 + congestion[v] + t * t[grid.reverse]
 
 
 class AvgWaitCost:
     """Average-observed-waiting edge cost (:func:`pcost`).
 
-    Each call reads the statistics as they are at that moment. Called with
-    arrays it reads every stored ``(value, stamp)`` pair once and decays
-    each by ``gamma ** age``, one power per distinct age, as
-    :meth:`EdgeWaitStats._current` does per edge. The simulator evaluates
-    the model once per scheduling round into a cost array, so a round
-    plans on a snapshot.
+    Each call reads the statistics as they are at that moment. The
+    simulator evaluates the model once per scheduling round into a cost
+    array, so a round plans on a snapshot.
     """
 
     def __init__(self, stats: EdgeWaitStats):
         self.stats = stats
 
     def __call__(self, u, v):
-        if not isinstance(u, np.ndarray):
-            return pcost((u, v), self.stats)
-        query = _edge_keys(u, v)
-        n = self._current(self.stats._n, query)
-        w = self._current(self.stats._w, query)
-        cost = np.ones(len(query))
+        stats = self.stats
+        if stats.grid is None:
+            if isinstance(u, np.ndarray):
+                return _per_edge(pcost, stats, u, v)
+            return pcost((u, v), stats)
+        _check_own_edges(stats.grid, u, v)
+        factor = stats.decay(stats.epoch - stats.stamp)
+        n, w = stats.n * factor, stats.w * factor
+        cost = np.ones(len(n))
         seen = ~(n <= 0.0)
         cost[seen] = 1.0 + w[seen] / n[seen]
         return cost
-
-    def _current(self, table: dict, query: np.ndarray) -> np.ndarray:
-        """:meth:`EdgeWaitStats._current` at every queried edge key."""
-        size = len(table)
-        ends = np.fromiter(chain.from_iterable(table), dtype=np.int64, count=2 * size)
-        stored = np.fromiter(chain.from_iterable(table.values()), dtype=np.float64,
-                             count=2 * size)
-        keys = _edge_keys(ends[0::2], ends[1::2])
-        value, stamp = stored[0::2], stored[1::2].astype(np.int64)
-        ages, age_at = np.unique(self.stats.epoch - stamp, return_inverse=True)
-        gamma = self.stats.gamma
-        factor = np.array([gamma ** k for k in ages.tolist()], dtype=np.float64)
-        order = np.argsort(keys)
-        return _lookup(keys[order], (value * factor[age_at])[order], query, 0.0)

@@ -86,9 +86,12 @@ class GridMap:
                       ).astype(np.int32)
         self.indptr = np.zeros(size + 1, dtype=np.int32)
         np.cumsum(has.sum(axis=1), out=self.indptr[1:])
-        edge_id = np.zeros((size, 4), dtype=np.int32)
-        edge_id[tails, direction] = np.arange(len(tails))
-        self.reverse = edge_id[self.heads, (direction + 2) % 4]
+        # Id and head of the edge leaving cell v in direction d, else -1.
+        self._edge_at = np.full((size, 4), -1, dtype=np.int32)
+        self._edge_at[tails, direction] = np.arange(len(tails))
+        self._head_at = np.full((size, 4), -1, dtype=np.int32)
+        self._head_at[tails, direction] = self.heads
+        self.reverse = self._edge_at[self.heads, (direction + 2) % 4]
 
         # The planner's hot loops read plain lists, one slice per cell.
         heads_list, ptr = self.heads.tolist(), self.indptr.tolist()
@@ -142,6 +145,13 @@ class GridMap:
 
     def num_directed_edges(self) -> int:
         return len(self.heads)
+
+    def edge_ids(self, tails, heads) -> np.ndarray:
+        """Id of each directed edge ``(tails[i], heads[i])``, or -1 where
+        the pair is not an edge. Tails must be cell indices."""
+        tails = np.asarray(tails, dtype=np.int64)
+        match = self._head_at[tails] == np.asarray(heads)[:, None]
+        return np.where(match, self._edge_at[tails], -1).max(axis=1, initial=-1)
 
     def edge_costs(self, edge_cost: EdgeCost | None = None) -> np.ndarray:
         """Per-edge costs as a float64 array aligned to the edge ids.

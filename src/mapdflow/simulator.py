@@ -1,12 +1,12 @@
 """Lifelong MAPD simulation: task release, periodic assignment, PIBT
 execution, congestion statistics, and metrics.
 
-Each step runs a fixed phase order: (1) on scheduling rounds, rebuild the
-traffic snapshot, evaluate the cost model into one per-edge cost array, and
-solve the configured assignment strategy; (2) compute guide paths for new
-pickup legs and for delivery legs; (3) execute one PIBT step; (4) detect
-pickups/deliveries; (5) update decayed wait statistics; (6) release tasks;
-(7) record metrics.
+Each step runs a fixed phase order: (1) on scheduling rounds, update the
+traffic counts where delivery paths changed, evaluate the cost model into
+one per-edge cost array, and solve the configured assignment strategy;
+(2) compute guide paths for new pickup legs and for delivery legs;
+(3) execute one PIBT step; (4) detect pickups/deliveries; (5) update
+decayed wait statistics; (6) release tasks; (7) record metrics.
 
 Edge costs are a per-round snapshot: the solver and every guide path
 staged until the next round use the array evaluated at the round, even
@@ -192,7 +192,10 @@ class Simulation:
         self.released = 0
         self.delivered = 0
 
-        self.wait_stats = EdgeWaitStats(gamma=config.gamma)
+        self.wait_stats = EdgeWaitStats(gamma=config.gamma, grid=grid)
+        # Counts of the delivering agents' guide paths, brought up to date
+        # each traffic round.
+        self.traffic = TrafficState.on_grid(grid)
         self.edge_cost = None   # per-edge cost array, evaluated each round
         self._unit_provider = DistanceProvider(grid)
         self.provider = self._unit_provider
@@ -266,9 +269,9 @@ class Simulation:
         if cfg.cost_model == "unit":
             model = None
         elif cfg.cost_model == "traffic":
-            paths = [a.guide_path for a in self.agents
-                     if a.is_delivering and a.guide_path]
-            model = TrafficCost(TrafficState.from_guide_paths(paths))
+            self.traffic.set_paths([a.guide_path if a.is_delivering else None
+                                    for a in self.agents])
+            model = TrafficCost(self.traffic)
         else:
             model = AvgWaitCost(self.wait_stats)
         return self.grid.edge_costs(model)

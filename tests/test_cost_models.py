@@ -292,3 +292,92 @@ def test_edge_costs_calls_a_library_model_once(model, monkeypatch):
     assert len(calls) == 1
     assert calls[0][0] is grid.tails and calls[0][1] is grid.heads
     assert arr.tolist() == want
+
+
+# -- states kept as arrays over a grid equal states built from scratch ---------
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_grid_traffic_counts_follow_path_slots(data):
+    grid = data.draw(grids())
+    pool = data.draw(guide_paths(grid))
+    edges = list(grid.directed_edges())
+    ts = TrafficState.on_grid(grid)
+    slots = [None] * data.draw(st.integers(0, 5))
+    # Each call, a slot keeps its path, loses it (a delivery), takes
+    # another list object (re-staging; an equal copy, or a path that
+    # another slot may hold too), or the slot count changes.
+    for _ in range(data.draw(st.integers(1, 5))):
+        for i in range(len(slots)):
+            change = data.draw(st.sampled_from(["keep", "clear", "copy", "pool"]))
+            if change == "clear":
+                slots[i] = None
+            elif change == "copy" and slots[i] is not None:
+                slots[i] = list(slots[i])
+            elif change == "pool" and pool:
+                slots[i] = data.draw(st.sampled_from(pool))
+        size = data.draw(st.integers(0, 6))
+        slots = (slots + [None] * size)[:size]
+        ts.set_paths(slots)
+        ref = TrafficState.from_guide_paths(p for p in slots if p)
+        assert ts.entry_counts.tolist() == [
+            ref.entries.get(c, 0) for c in range(grid.width * grid.height)]
+        # Steps between non-adjacent cells match no edge, so the grid
+        # state has no count for them.
+        assert ts.traversal_counts.tolist() == [ref.traversals.get(e, 0)
+                                                for e in edges]
+        want = [fcost(e, ref) for e in edges]
+        arr = TrafficCost(ts)(grid.tails, grid.heads)
+        assert arr.dtype == np.float64
+        assert arr.tolist() == want
+        assert grid.edge_costs(TrafficCost(ts)).tolist() == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_grid_wait_stats_equal_dict_stats_edge_by_edge(data):
+    grid = data.draw(grids())
+    edges = list(grid.directed_edges())
+    gamma = data.draw(st.one_of(st.just(1.0),
+                                st.floats(0.0, 1.0, exclude_min=True)))
+    on_grid, plain = EdgeWaitStats(gamma, grid=grid), EdgeWaitStats(gamma)
+    # Some epochs have no events, and an edge's entry ages while others change.
+    for _ in range(data.draw(st.integers(0, 6))):
+        events = data.draw(st.lists(st.tuples(st.sampled_from(edges),
+                                              st.integers(0, 9)), max_size=8)
+                           if edges and data.draw(st.booleans()) else st.just([]))
+        update_wait_stats(on_grid, events)
+        update_wait_stats(plain, events)
+    assert on_grid.epoch == plain.epoch
+    # Hand-written entries on both, stale stamps included: W without N
+    # (N = 0) and N = 0 with W = 0 among them.
+    for i in data.draw(st.lists(st.integers(0, len(edges) - 1), max_size=6)
+                       if edges else st.just([])):
+        stamp = data.draw(st.integers(0, on_grid.epoch))
+        w = data.draw(st.floats(0.0, 50.0))
+        n = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 50.0)))
+        on_grid.w[i], on_grid.n[i], on_grid.stamp[i] = w, n, stamp
+        plain._w[edges[i]], plain._n[edges[i]] = (w, stamp), (n, stamp)
+    factor = on_grid.decay(on_grid.epoch - on_grid.stamp)
+    assert (on_grid.w * factor).tolist() == [plain.wait_total(e) for e in edges]
+    assert (on_grid.n * factor).tolist() == [plain.traversal_count(e) for e in edges]
+    want = [pcost(e, plain) for e in edges]
+    with np.errstate(over="ignore"):   # W / N may overflow, as in pcost
+        arr = AvgWaitCost(on_grid)(grid.tails, grid.heads)
+    assert arr.dtype == np.float64
+    assert arr.tolist() == want
+
+
+def test_grid_states_reject_events_and_edges_off_the_grid():
+    grid = GridMap(3, 1, [True, True, False])
+    stats = EdgeWaitStats(grid=grid)
+    update_wait_stats(stats, [((0, 1), 2), ((1, 0), 0)])
+    for bad in ([((1, 2), 0)], [((0, 2), 0)], [((0, 1), -1)]):
+        with pytest.raises(ValueError):
+            update_wait_stats(stats, bad)
+    assert stats.epoch == 1
+    model = AvgWaitCost(stats)
+    assert model(grid.tails, grid.heads).tolist() == [3.0, 1.0]
+    for model in (model, TrafficCost(TrafficState.on_grid(grid))):
+        with pytest.raises(ValueError):
+            model(grid.tails.copy(), grid.heads)

@@ -36,16 +36,29 @@ GOLDEN = {
         "c922334ea9d9f4ef02761d84a37fba8616d8c9dfac233451d61ce820cb0b7823",
     ("random64.map", 200, "traffic", "uniform", 1):
         "062eed7417f8c22cea4413bb4169b5f80e55c26b46a77e3e92c6468a94aedc95",
+    ("warehouse_21x35.map", 150, "avg-wait", "labeled-es", 1):
+        "cb2ccb046913a6eba520f07f62d3119c25b0b6b143862e0c77df304769a94907",
+    ("random64.map", 200, "traffic", "uniform", 3):
+        "2a4b10839b53bc53540b43cf608537f1ba9aef1ce5ffb0fa8e7bc3827d5a2473",
 }
 
 # Steps per case (default 60). The benchmark map runs longer so that guide
 # heuristics cover delivery legs of up to ~100 cells, which random32 lacks.
-HORIZON = {("random64.map", 200, "unit", "uniform", 1): 80}
+# The dense warehouse case runs 300 steps so that wait statistics decay
+# over ages in the hundreds; the random64 traffic case plans every third
+# step, so delivery paths are set and cleared between cost snapshots.
+HORIZON = {("random64.map", 200, "unit", "uniform", 1): 80,
+           ("warehouse_21x35.map", 150, "avg-wait", "labeled-es", 1): 300}
 
 
 def case_id(case):
-    map_file, _, cost_model, _, period = case
-    prefix = "random64-" if map_file == "random64.map" else ""
+    map_file, agents, cost_model, _, period = case
+    if map_file == "random64.map":
+        prefix = "random64-"
+    elif agents == 150:
+        prefix = "warehouse150-"
+    else:
+        prefix = ""
     return f"{prefix}{cost_model}-k{period}"
 
 

@@ -239,6 +239,20 @@ def test_edge_ids_follow_directed_edges_order():
         assert [want[r] for r in grid.reverse.tolist()] == [(u, v) for v, u in want]
 
 
+def test_edge_ids_of_cell_pairs_match_edge_order():
+    # Every ordered pair of cells, on maps one column or one row wide too,
+    # where a step of +-1 is vertical or wraps to the next row.
+    rng = random.Random(42)
+    for width, height in ((7, 5), (1, 6), (6, 1), (2, 3)):
+        grid = random_grid(rng, width, height, 0.2)
+        want = {e: i for i, e in enumerate(edge_order_oracle(grid))}
+        size = width * height
+        tails, heads = np.divmod(np.arange(size * size), size)
+        ids = grid.edge_ids(tails, heads)
+        assert ids.tolist() == [want.get((u, v), -1) for u, v in
+                                zip(tails.tolist(), heads.tolist())]
+
+
 def test_neighbors_equal_csr_slice():
     rng = random.Random(41)
     for _ in range(10):

@@ -5,6 +5,8 @@ import pytest
 
 from mapdflow import simulator
 from mapdflow.assignment import TaskState
+from mapdflow.cost_models import (EdgeWaitStats, TrafficState, fcost, pcost,
+                                  update_wait_stats)
 from mapdflow.grid_map import GridMap, parse_map
 from mapdflow.mapgen import random_map, warehouse_map
 from mapdflow.planner import ActionStep
@@ -232,6 +234,66 @@ def test_avg_wait_cost_model_decays():
     sim.run()
     assert sim.wait_stats.epoch == 50  # one decayed window per step
     sim.check_invariants()
+
+
+@pytest.mark.parametrize("step_budget", [None, 0.0], ids=["logical", "timeouts"])
+def test_wait_stats_decay_once_per_step_off_rounds_included(step_budget):
+    grid = random_map(12, 12, 0.15, seed=3)
+    cfg = SimConfig(num_agents=8, strategy="flow", cost_model="avg-wait",
+                    gamma=0.8, schedule_period=3, horizon=50, seed=6,
+                    step_budget=step_budget)
+    sim = Simulation(grid, cfg)
+    sim.run()
+    assert sim.rounds_run == 17
+    assert sim.wait_stats.epoch == sim.step_idx == 50
+
+
+@pytest.mark.parametrize("period", [1, 3])
+@pytest.mark.parametrize("cost_model", ["traffic", "avg-wait"])
+def test_round_costs_equal_a_from_scratch_reference(monkeypatch, cost_model, period):
+    # The simulator keeps traffic counts and wait statistics as arrays and
+    # updates them only where they change. Each round's cost array must
+    # equal the scalar formula on a state built from scratch: traffic
+    # counted from the delivering agents' paths at the round, avg-wait from
+    # a grid-less EdgeWaitStats fed the same events.
+    if cost_model == "traffic":
+        grid = parse_map(MAPS.joinpath("random32.map").read_text())
+        cfg = SimConfig(num_agents=40, cost_model="traffic", horizon=90,
+                        schedule_period=period, seed=4)
+    else:
+        grid = parse_map(MAPS.joinpath("warehouse_21x35.map").read_text())
+        cfg = SimConfig(num_agents=60, cost_model="avg-wait", horizon=90,
+                        task_distribution="labeled-es", schedule_period=period,
+                        seed=4)
+    sim = Simulation(grid, cfg)
+    reference = EdgeWaitStats(gamma=cfg.gamma)
+    update = simulator.update_wait_stats
+
+    def update_both(stats, events):
+        update_wait_stats(reference, events)
+        return update(stats, events)
+
+    monkeypatch.setattr(simulator, "update_wait_stats", update_both)
+    edges = list(grid.directed_edges())
+    round_costs = sim._round_cost_model
+    highest = []
+
+    def checked_round_costs():
+        costs = round_costs()
+        if cost_model == "traffic":
+            ts = TrafficState.from_guide_paths(
+                a.guide_path for a in sim.agents if a.is_delivering and a.guide_path)
+            want = [fcost(e, ts) for e in edges]
+        else:
+            want = [pcost(e, reference) for e in edges]
+        assert costs.tolist() == want, f"round at step {sim.step_idx + 1}"
+        highest.append(max(want))
+        return costs
+
+    monkeypatch.setattr(sim, "_round_cost_model", checked_round_costs)
+    sim.run()
+    assert len(highest) == sim.rounds_run == -(-90 // period)
+    assert sim.delivered > 0 and max(highest) > 1.0
 
 
 def test_reassignment_only_at_schedule_boundaries():

@@ -48,6 +48,8 @@ class Agent:
     location: int
     carried_task: int | None = None
     assigned_task: int | None = None
+    # Set only under the traffic model, for a delivering agent: its
+    # delivery leg, which the round's traffic counts read.
     guide_path: list[int] | None = None
 
     @property

@@ -19,10 +19,12 @@ empty layout of its own.
 A solve borrows its layout's residual workspace and restores what it
 changed before it returns or raises: it rewrites arc costs only where they
 differ from the last solve's, and resets only the arcs it pushed flow
-along. Potentials change only at the nodes a phase's Dijkstra settles,
-and scratch arrays are reset only where a phase touched them. So after
-the layout is built, a round costs what its searches touch, not the size
-of the map. Solves on one layout run one at a time; a second solve while
+along and the arc lists of the nodes its own edges touch. The per-node
+scratch (potentials and each phase's arrays) lives in the workspace too
+and is reset only where a solve touched it, and the largest layout cost,
+which sets the float slack, is kept with the layout costs. So after the
+layout is built, a round costs what its searches touch, not the size of
+the map. Solves on one layout run one at a time; a second solve while
 one holds the workspace raises.
 
 Costs may be arbitrary nonnegative reals; no cost scaling is used. Flow
@@ -66,9 +68,10 @@ class ArcLayout:
 
     The layout also owns the residual workspace that every solve of a
     network on it borrows: arc heads, residuals and costs of the layout
-    arcs, as lists. A solve appends its network's own arcs, updates the
-    costs only where they differ from the last solve's, and before it
-    returns or raises truncates its own arcs and resets the residuals it
+    arcs, as lists, each node's arc list, and per-node solver scratch. A
+    solve appends its network's own arcs, updates the costs only where they
+    differ from the last solve's, and before it returns or raises truncates
+    its own arcs and resets the residuals, arc lists and scratch it
     changed. So one layout serves any number of solves, one at a time.
     """
 
@@ -98,7 +101,38 @@ class ArcLayout:
         self._res = [_UNBOUNDED, 0] * m
         self._edge_costs = np.zeros(m)      # the costs ``_cost`` holds
         self._cost = [0.0, -0.0] * m
+        # The largest of ``_edge_costs`` (-inf if there are none) and
+        # whether all are integers.
+        self._max_cost = 0.0 if m else -_INF
+        self._integral = True
+        # Each node's arcs as a solve scans them: ``adj`` with the network's
+        # own arcs appended. Nodes past the layout's (a network's source
+        # and sink) are added by the first solve that has them.
+        self._adj = list(self.adj)
+        self._drop_scratch()
         self._busy = threading.Lock()      # held by the solve using the workspace
+
+    def _drop_scratch(self) -> None:
+        """Forget the per-node scratch; the next solve allocates it anew."""
+        self._pi: list[float] = []
+        self._dist: list[float] = []
+        self._done: list[bool] = []
+        self._it: list[int] = []
+        self._dead: list[bool] = []
+        self._on_path: list[bool] = []
+
+    def _grow(self, n: int) -> None:
+        """Extend the per-node lists to ``n`` nodes, clear."""
+        if len(self._adj) < n:
+            self._adj += [[] for _ in range(n - len(self._adj))]
+        extra = n - len(self._pi)
+        if extra > 0:
+            self._pi += [0.0] * extra
+            self._dist += [_INF] * extra
+            self._done += [False] * extra
+            self._it += [0] * extra
+            self._dead += [False] * extra
+            self._on_path += [False] * extra
 
 
 @dataclass(eq=False)
@@ -255,29 +289,20 @@ class _PrimalDualSolver:
     Arc ``2e`` is edge ``e`` forward, arc ``2e + 1`` its reverse. The
     arc lists are the layout's workspace, with the network's own edges
     appended, each after the layout arcs of its tail node, which keeps
-    every node's arcs in ascending arc id order.
+    every node's arcs in ascending arc id order. So are the per-node
+    scratch lists, which a solve finds clear and leaves clear.
     """
 
     def __init__(self, net: FlowNetwork):
         self.net = net
         self.layout = net.layout
-        n = net.num_nodes
-        self.n = n
-        self.pi = [0.0] * n
-        # Per-phase scratch; each phase resets the entries it touched.
-        self.dist = [_INF] * n
-        self.done = [False] * n
-        self.it = [0] * n
-        self.dead = [False] * n
-        self.on_path = [False] * n
+        self.n = net.num_nodes
         # Arcs whose residual a push changed in earlier phases, and the
         # phase-start residuals of those the current phase changed.
         self.touched: set[int] = set()
         self.phase_res: dict[int, int] = {}
-        costs = np.concatenate((net.layout_costs, net._costs))
-        max_cost = float(costs.max()) if len(costs) else 0.0
-        int_mode = bool(np.equal(np.floor(costs), costs).all())
-        self.eps = 0.0 if int_mode else 1e-10 * (1.0 + max_cost)
+        self.priced: set[int] = set()   # nodes whose potential a phase moved
+        self.own_arcs: dict[int, list[int]] = {}   # node -> its own arcs
 
     def _borrow(self):
         """Load the network into the layout's workspace."""
@@ -286,20 +311,39 @@ class _PrimalDualSolver:
         new, old = net.layout_costs, layout._edge_costs
         # bit patterns, so that a flip between 0.0 and -0.0 counts too
         changed = np.flatnonzero(new.view(np.int64) != old.view(np.int64))
-        for e, c in zip(changed.tolist(), new[changed].tolist()):
-            cost[2 * e] = c
-            cost[2 * e + 1] = -c
-        old[changed] = new[changed]
+        if len(changed):
+            for e, c in zip(changed.tolist(), new[changed].tolist()):
+                cost[2 * e] = c
+                cost[2 * e + 1] = -c
+            old[changed] = new[changed]
+            layout._max_cost = float(old.max())
+            layout._integral = bool(np.equal(np.floor(old), old).all())
+        # Integer costs need no float slack; otherwise it scales with the
+        # largest cost of the network.
+        own = net._costs
+        if layout._integral and all(map(float.is_integer, own)):
+            self.eps = 0.0
+        else:
+            top = max(layout._max_cost, max(own, default=-_INF))
+            self.eps = 1e-10 * (1.0 + top)
 
-        adj = layout.adj + [[] for _ in range(self.n - layout.num_nodes)]
-        head, res = layout._head, layout._res
-        bound = net.required_flow
-        own_arcs: dict[int, list[int]] = {}
+        layout._grow(self.n)
+        self.pi, self.dist, self.done = layout._pi, layout._dist, layout._done
+        self.it, self.dead, self.on_path = layout._it, layout._dead, layout._on_path
+        adj, head, res = layout._adj, layout._head, layout._res
+        tails, heads, k = net._tails, net._heads, len(own)
         a = len(head)
-        for u, v, cap, c in zip(net._tails, net._heads, net._caps, net._costs):
-            head += (v, u)
-            res += (bound if cap is None else cap, 0)
-            cost += (c, -c)
+        pair = [0] * (2 * k)    # own edge i as its arcs a + 2i and a + 2i + 1
+        pair[0::2], pair[1::2] = heads, tails
+        head += pair
+        bound = net.required_flow
+        pair[0::2] = [bound if cap is None else cap for cap in net._caps]
+        pair[1::2] = [0] * k
+        res += pair
+        pair[0::2], pair[1::2] = own, [-c for c in own]
+        cost += pair
+        own_arcs = self.own_arcs
+        for u, v in zip(tails, heads):
             own_arcs.setdefault(u, []).append(a)
             own_arcs.setdefault(v, []).append(a + 1)
             a += 2
@@ -307,8 +351,9 @@ class _PrimalDualSolver:
             adj[v] = adj[v] + arcs
         self.adj, self.head, self.res, self.cost = adj, head, res, cost
 
-    def _restore(self):
-        """Leave the workspace as :meth:`_borrow` found it."""
+    def _restore(self, clean: bool):
+        """Leave the workspace as :meth:`_borrow` found it. After a solve
+        cut short (``clean`` false) the per-node scratch is dropped."""
         layout = self.layout
         base = 2 * layout.num_edges
         del layout._head[base:], layout._res[base:], layout._cost[base:]
@@ -317,6 +362,15 @@ class _PrimalDualSolver:
         for a in self.touched:
             if a < base:
                 res[a] = 0 if a & 1 else _UNBOUNDED
+        adj, n_layout = layout._adj, layout.num_nodes
+        for v in self.own_arcs:
+            adj[v] = layout.adj[v] if v < n_layout else []
+        if not clean:
+            layout._drop_scratch()
+            return
+        pi = layout._pi
+        for v in self.priced:
+            pi[v] = 0.0
 
     def _dijkstra(self) -> tuple[list[int], list[float], float]:
         """The nodes finalized up to the sink (the sink last), their
@@ -366,6 +420,7 @@ class _PrimalDualSolver:
         # potential by one constant leaves all reduced costs as they are,
         # so only the finalized nodes change.
         pi = self.pi
+        self.priced.update(finalized)
         for v, d in zip(finalized, final_dist):
             pi[v] += d - d_sink
 
@@ -443,11 +498,14 @@ class _PrimalDualSolver:
         busy = self.layout._busy
         if not busy.acquire(blocking=False):
             raise RuntimeError("another solve holds this layout's workspace")
+        clean = False
         try:
             self._borrow()
-            return self._solve()
+            solution = self._solve()
+            clean = True
+            return solution
         finally:
-            self._restore()
+            self._restore(clean)
             busy.release()
 
     def _solve(self) -> FlowSolution:

@@ -4,13 +4,15 @@ execution, congestion statistics, and metrics.
 Each step runs a fixed phase order: (1) on scheduling rounds, update the
 traffic counts where delivery paths changed, evaluate the cost model into
 one per-edge cost array, and solve the configured assignment strategy;
-(2) compute guide paths for new pickup legs and for delivery legs;
-(3) execute one PIBT step; (4) detect pickups/deliveries; (5) update
+(2) under the traffic model only, stage the delivery-leg path of each
+agent that picked up since the last step, the one path a later phase
+reads (the next round's traffic counts); (3) execute one PIBT step,
+which steers by one unit-distance field per goal; (4) detect
+pickups/deliveries; (5) under the avg-wait model only, update the
 decayed wait statistics; (6) release tasks; (7) record metrics.
 
-Edge costs are a per-round snapshot: the solver and every guide path
-staged until the next round use the array evaluated at the round, even
-when the wait statistics behind the avg-wait model change in between.
+Edge costs are a per-round snapshot: the solver and every delivery leg
+staged until the next round use the array evaluated at the round.
 
 Two time modes exist: logical mode ignores the per-step budget entirely
 (fully deterministic), wall-clock mode discards the step's fresh plans and
@@ -197,6 +199,8 @@ class Simulation:
         # each traffic round.
         self.traffic = TrafficState.on_grid(grid)
         self.edge_cost = None   # per-edge cost array, evaluated each round
+        # Distance tables have two readers: greedy's pickup costs and the
+        # traffic model's delivery legs.
         self._unit_provider = DistanceProvider(grid)
         self.provider = self._unit_provider
         self.builder = FlowNetworkBuilder(grid) if config.strategy == "flow" else None
@@ -280,13 +284,13 @@ class Simulation:
         cfg = self.config
         self.rounds_run += 1
         self.edge_cost = self._round_cost_model()
-        if cfg.cost_model == "unit":
+        if cfg.strategy == "greedy" and cfg.cost_model == "unit":
             # Unit tables outlive the round only for goals still in play.
             tasks = self.tasks
             self._unit_provider.retain({c for tid in self.active_ids for c in
                                         (tasks[tid].pickup, tasks[tid].delivery)})
             self.provider = self._unit_provider
-        else:
+        elif cfg.strategy == "greedy" or cfg.cost_model == "traffic":
             self.provider = DistanceProvider(self.grid, self.edge_cost)
 
         if cfg.strategy == "greedy":
@@ -302,34 +306,20 @@ class Simulation:
         return (flow_assign(self.grid, available, pool, self.edge_cost,
                             builder=self.builder), available)
 
-    def _stage_guide_paths(self, aset: AssignmentSet | None,
-                           available: list[Agent] | None) -> dict[int, list[int]]:
-        """Phase 2: pickup-leg paths for changed assignments (non-flow) and
-        delivery-leg paths for agents that picked up since last step."""
-        staged: dict[int, list[int]] = {}
-        if aset is not None:
-            for agent in available:
-                tid = aset.pairs.get(agent.id)
-                if tid is None:
-                    continue
-                if agent.id in aset.guide_paths:        # flow: path comes with it
-                    staged[agent.id] = aset.guide_paths[agent.id]
-                elif agent.assigned_task != tid or agent.guide_path is None:
-                    path = self.provider.shortest_path(
-                        agent.location, self.tasks[tid].pickup)
-                    if path is None:
-                        raise RuntimeError(
-                            f"assigned unreachable pickup for agent {agent.id}")
-                    staged[agent.id] = path
-        for agent in self.agents:
-            if agent.is_delivering and agent.guide_path is None:
-                task = self.tasks[agent.carried_task]
-                path = self.provider.shortest_path(agent.location, task.delivery)
-                if path is None:
-                    raise RuntimeError(
-                        f"agent {agent.id} cannot reach delivery cell")
-                staged[agent.id] = path
-        return staged
+    def _stage_guide_paths(self) -> dict[int, list[int]]:
+        """Phase 2: the delivery-leg path of each agent that picked up since
+        the last step, descended from the round's costed tables.
+
+        Staged paths have one reader, the next traffic round's counts of
+        the delivering agents' paths, so no other model stages any. PIBT
+        steers by the goal alone, and pickup legs are never counted.
+        """
+        if self.config.cost_model != "traffic":
+            return {}
+        return {agent.id: self.provider.shortest_path(
+                    agent.location, self.tasks[agent.carried_task].delivery)
+                for agent in self.agents
+                if agent.is_delivering and agent.guide_path is None}
 
     def _commit_round(self, aset: AssignmentSet, available: list[Agent]) -> None:
         # Release every changed assignment first: a task dropped by one agent
@@ -338,12 +328,15 @@ class Simulation:
             new_tid = aset.pairs.get(agent.id)
             if agent.assigned_task is not None and agent.assigned_task != new_tid:
                 self.tasks[agent.assigned_task].state = TaskState.POOLED
-                agent.guide_path = None
             if new_tid is None:
                 agent.assigned_task = None
+        component = self._component
         for agent in available:
             new_tid = aset.pairs.get(agent.id)
             if new_tid is not None:
+                if component[self.tasks[new_tid].pickup] != component[agent.location]:
+                    raise RuntimeError(
+                        f"assigned unreachable pickup for agent {agent.id}")
                 agent.assigned_task = new_tid
                 self.tasks[new_tid].state = TaskState.ASSIGNED
 
@@ -381,7 +374,7 @@ class Simulation:
         available: list[Agent] | None = None
         if self.step_idx % cfg.schedule_period == 0:
             aset, available = self._plan_round()
-        staged_paths = self._stage_guide_paths(aset, available)
+        staged_paths = self._stage_guide_paths()
         solver_time = time.perf_counter() - t0
 
         timed_out = cfg.step_budget is not None and solver_time > cfg.step_budget
@@ -445,13 +438,16 @@ class Simulation:
                 elif agent.assigned_task is not None:
                     task = self.tasks[agent.assigned_task]
                     if agent.location == task.pickup:
+                        if self._component[task.delivery] != self._component[task.pickup]:
+                            raise RuntimeError(
+                                f"agent {agent.id} cannot reach delivery cell")
                         task.state = TaskState.PICKED_UP
                         self._unpicked -= 1
                         agent.carried_task = task.id
-                        agent.guide_path = None   # delivery leg planned next step
                         reached[agent.id] = True
 
-        update_wait_stats(self.wait_stats, events)
+        if cfg.cost_model == "avg-wait":
+            update_wait_stats(self.wait_stats, events)
         self._release_tasks()
 
         self.priorities = update_priorities(self.priorities, reached, has_goal)

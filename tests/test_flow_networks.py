@@ -9,7 +9,8 @@
   real-valued, avg-wait-like costs against the residual certificate.
 - The residual workspace a layout lends its solves: a run of rounds on one
   builder against fresh builders, an infeasible solve, and solves that
-  overlap.
+  overlap; the per-node scratch left clear, and the float slack derived
+  from the costs kept with the layout equal to one derived from scratch.
 """
 
 import math
@@ -438,3 +439,56 @@ def test_a_solve_on_a_held_layout_raises(monkeypatch):
     assert "holds this layout's workspace" in str(error)
     assert result == expected     # the refused solve left the outer one alone
     assert_workspace_as_built(builder.layout, grid.edge_costs(None))
+
+
+def assert_scratch_clear(layout):
+    """The per-node lists of ``layout``'s workspace hold no solve's marks:
+    every node scans the layout's arcs alone, and the scratch is as new."""
+    n = layout.num_nodes
+    assert all(arcs is base for arcs, base in zip(layout._adj, layout.adj))
+    assert not any(layout._adj[n:])
+    assert all(p == 0.0 for p in layout._pi)
+    assert all(d == math.inf for d in layout._dist)
+    assert not any(layout._done + layout._it + layout._dead + layout._on_path)
+
+
+def floor_rule_eps(net):
+    """The solver's float slack, derived from every edge cost at once."""
+    costs = np.array(net.costs, dtype=np.float64)
+    if np.equal(np.floor(costs), costs).all():
+        return 0.0
+    return 1e-10 * (1.0 + float(costs.max()))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(builder_rounds())
+def test_solver_slack_and_scratch_across_rounds(instance):
+    # A layout keeps the largest cost and the integrality of its costs from
+    # round to round; the slack a solve derives from them and the network's
+    # own costs must equal, bit for bit, the slack of all costs at once. A
+    # plain network (own edges only) checks the own-cost half.
+    grid, rounds = instance
+    builder = FlowNetworkBuilder(grid)
+    for agents, tasks, costs in rounds:
+        net = builder.build(agents, tasks, costs).network
+        for network in (net, plain_copy(net)):
+            solver = mincost_flow._PrimalDualSolver(network)
+            solver.solve()
+            assert repr(solver.eps) == repr(floor_rule_eps(network))
+            assert_scratch_clear(network.layout)
+
+
+def test_a_failed_solve_drops_the_scratch():
+    grid, agents, tasks = split_instance()
+    builder = FlowNetworkBuilder(grid)
+    net = builder.build(agents, tasks).network
+    solve_min_cost_flow(net)
+    assert len(builder.layout._pi) == net.num_nodes
+    assert_scratch_clear(builder.layout)
+    net.required_flow += 1
+    with pytest.raises(FlowInfeasibleError):
+        solve_min_cost_flow(net)
+    assert builder.layout._pi == []
+    assert_scratch_clear(builder.layout)
+    again = builder.build(agents, tasks).network
+    assert outcome(again) == outcome(FlowNetworkBuilder(grid).build(agents, tasks).network)

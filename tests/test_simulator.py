@@ -4,10 +4,10 @@ from pathlib import Path
 import pytest
 
 from mapdflow import simulator
-from mapdflow.assignment import TaskState
+from mapdflow.assignment import AssignmentSet, TaskState
 from mapdflow.cost_models import (EdgeWaitStats, TrafficState, fcost, pcost,
                                   update_wait_stats)
-from mapdflow.grid_map import GridMap, parse_map
+from mapdflow.grid_map import DistanceProvider, GridMap, parse_map
 from mapdflow.mapgen import random_map, warehouse_map
 from mapdflow.planner import ActionStep
 from mapdflow.simulator import SimConfig, Simulation, run
@@ -381,17 +381,30 @@ def test_preset_task_validated_at_construction(preset):
 
 
 @pytest.mark.parametrize("strategy", ["flow", "greedy", "linear"])
-def test_avg_wait_costs_are_a_round_snapshot(strategy):
-    # Wait statistics change every step, but a delivery leg staged between
-    # rounds must descend the table it was computed from: with live costs
-    # this setup failed at step 4 ("distance table descent did not terminate").
+def test_avg_wait_costs_are_a_round_snapshot(monkeypatch, strategy):
+    # A delivery leg staged between rounds must descend the table it was
+    # computed from: with live avg-wait costs this setup failed at step 4
+    # ("distance table descent did not terminate"). Only the traffic model
+    # stages delivery legs, so that is the model run here.
     grid = parse_map(MAPS.joinpath("warehouse_21x35.map").read_text())
-    cfg = SimConfig(num_agents=150, strategy=strategy, cost_model="avg-wait",
+    cfg = SimConfig(num_agents=150, strategy=strategy, cost_model="traffic",
                     task_distribution="labeled-es", schedule_period=4,
                     horizon=10, seed=2)
     sim = Simulation(grid, cfg)
+    real_stage = Simulation._stage_guide_paths
+    off_round_legs = 0
+
+    def counted_stage(self):
+        nonlocal off_round_legs
+        staged = real_stage(self)
+        if self.step_idx % cfg.schedule_period:
+            off_round_legs += len(staged)
+        return staged
+
+    monkeypatch.setattr(Simulation, "_stage_guide_paths", counted_stage)
     sim.run()
     assert sim.step_idx == 10
+    assert off_round_legs > 0
     sim.check_invariants()
 
 
@@ -462,8 +475,9 @@ def test_agents_with_one_goal_share_one_heuristic(monkeypatch):
 @pytest.mark.parametrize("strategy", ["flow", "greedy"])
 def test_unit_tables_cached_only_for_active_task_endpoints(monkeypatch, strategy,
                                                            period):
-    # A round drops the unit tables of goals no released, undelivered task
-    # has; the round's own staging adds only such goals.
+    # A greedy round drops the unit tables of goals no released, undelivered
+    # task has, and its pickup costs add only such goals. Under flow no
+    # table has a reader, so none is ever cached.
     grid = random_map(24, 24, 0.2, seed=3)
     cfg = SimConfig(num_agents=20, strategy=strategy, schedule_period=period,
                     horizon=60, seed=4)
@@ -471,17 +485,86 @@ def test_unit_tables_cached_only_for_active_task_endpoints(monkeypatch, strategy
     rounds = 0
     real_stage = Simulation._stage_guide_paths
 
-    def checked_stage(self, aset, available):
+    def checked_stage(self):
         nonlocal rounds
-        staged = real_stage(self, aset, available)
-        if aset is not None:
+        staged = real_stage(self)
+        if self.step_idx % period == 0:   # this step ran a round
             rounds += 1
-            endpoints = {c for tid in self.active_ids for c in
-                         (self.tasks[tid].pickup, self.tasks[tid].delivery)}
-            assert set(self._unit_provider._tables) <= endpoints
+            cached = set(self._unit_provider._tables)
+            if strategy == "flow":
+                assert not cached
+            else:
+                endpoints = {c for tid in self.active_ids for c in
+                             (self.tasks[tid].pickup, self.tasks[tid].delivery)}
+                assert cached <= endpoints
         return staged
 
     monkeypatch.setattr(Simulation, "_stage_guide_paths", checked_stage)
     sim.run()
-    assert rounds == math.ceil(60 / period)
+    assert rounds == sim.rounds_run == math.ceil(60 / period)
     assert sim.delivered > 0
+
+
+@pytest.mark.parametrize("cost_model", ["unit", "traffic", "avg-wait"])
+@pytest.mark.parametrize("strategy", ["flow", "greedy", "linear"])
+def test_paths_staged_only_where_read(monkeypatch, strategy, cost_model):
+    # Staged paths have one reader, the traffic model's counts of delivery
+    # legs. Under traffic each path is one delivery leg, descended the step
+    # after the pickup from the pickup cell; no other model descends any.
+    grid = random_map(12, 12, 0.15, seed=3)
+    cfg = SimConfig(num_agents=8, strategy=strategy, cost_model=cost_model,
+                    horizon=40, seed=6)
+    sim = Simulation(grid, cfg)
+    calls = []
+    real_path = DistanceProvider.shortest_path
+
+    def counted_path(self, source, goal):
+        calls.append((source, goal))
+        return real_path(self, source, goal)
+
+    monkeypatch.setattr(DistanceProvider, "shortest_path", counted_path)
+    sim.run()
+    sim._stage_guide_paths()   # the legs of the last step's pickups
+    picked = [(t.pickup, t.delivery) for t in sim.tasks.values()
+              if t.state in (TaskState.PICKED_UP, TaskState.DELIVERED)]
+    assert picked
+    if cost_model == "traffic":
+        assert sorted(calls) == sorted(picked)
+    else:
+        assert calls == []
+
+
+@pytest.mark.parametrize("cost_model", ["unit", "traffic"])
+def test_wait_stats_untouched_without_avg_wait(cost_model):
+    grid = random_map(12, 12, 0.15, seed=3)
+    cfg = SimConfig(num_agents=8, cost_model=cost_model, horizon=30, seed=6)
+    sim = Simulation(grid, cfg)
+    sim.run()
+    assert sim.delivered > 0
+    assert sim.wait_stats.epoch == 0
+
+
+@pytest.mark.parametrize("strategy", ["flow", "greedy", "linear"])
+def test_assignment_across_components_raises(monkeypatch, strategy):
+    # ...@...   The agent on the left island is paired with the pickup on
+    #           the right one, which no path reaches.
+    grid = GridMap(7, 1, [True, True, True, False, True, True, True])
+    cfg = SimConfig(num_agents=1, strategy=strategy, pool_ratio=1.0,
+                    horizon=5, seed=0)
+    sim = Simulation(grid, cfg, preset_starts=[0], preset_tasks=[(4, 6)])
+    assign = {"flow": "flow_assign", "greedy": "greedy_assign",
+              "linear": "linear_assignment"}[strategy]
+    monkeypatch.setattr(simulator, assign,
+                        lambda *args, **kwargs: AssignmentSet(pairs={0: 0}))
+    with pytest.raises(RuntimeError, match="assigned unreachable pickup for agent 0"):
+        sim.step()
+
+
+def test_pickup_with_unreachable_delivery_raises():
+    grid = GridMap(7, 1, [True, True, True, False, True, True, True])
+    cfg = SimConfig(num_agents=1, pool_ratio=1.0, horizon=5, seed=0)
+    sim = Simulation(grid, cfg, preset_starts=[0], preset_tasks=[(1, 2)])
+    sim.tasks[0].delivery = 5   # on the other island
+    with pytest.raises(RuntimeError, match="agent 0 cannot reach delivery cell"):
+        sim.run()
+    assert sim.step_idx == 0

@@ -53,6 +53,8 @@ class GridMap:
             ``indptr[v]:indptr[v + 1]``.
         heads, tails: Head and tail cell of every directed edge, by edge id.
         reverse: Id of the same edge traversed the other way, by edge id.
+        unit_graph: The edge graph as a CSR matrix with unit weights, built
+            once. Its arrays are read-only, and its ``indptr`` is the one above.
         component: Connected-component label per cell, numbered in order
             of each component's first cell; -1 on blocked cells.
     """
@@ -97,9 +99,15 @@ class GridMap:
         heads_list, ptr = self.heads.tolist(), self.indptr.tolist()
         self._neighbors = [heads_list[a:b] for a, b in zip(ptr, ptr[1:])]
 
+        # The unit-weight edge graph, kept read-only for whole-map searches.
+        self.unit_graph = self.adjacency()
+        for part in (self.unit_graph.data, self.unit_graph.indices,
+                     self.unit_graph.indptr):
+            part.flags.writeable = False
+
         # Every edge has its reverse, so strong components are the
         # connected components, and csgraph finds them without a transpose.
-        _, labels_all = connected_components(self.adjacency(), connection="strong")
+        _, labels_all = connected_components(self.unit_graph, connection="strong")
         _, first, inverse = np.unique(labels_all[mask], return_index=True,
                                       return_inverse=True)
         rank = np.empty(len(first), dtype=np.int64)

@@ -6,7 +6,9 @@ the priority and plans first, backtracking if it cannot make room. The
 resulting step never contains a vertex collision or an edge swap.
 
 Movement preferences come from a guide-path heuristic, which for a path
-of unit moves is the unit distance to the path's last cell.
+of unit moves is the unit distance to the path's last cell. Each goal's
+field is one breadth-first search from the goal in C, kept as its tree of
+predecessors; a query reads a cell's depth off that tree.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ import sys
 from array import array
 from dataclasses import dataclass
 from math import inf
+
+import numpy as np
+from scipy.sparse.csgraph import breadth_first_order
 
 from .grid_map import GridMap
 
@@ -27,10 +32,21 @@ class GuideHeuristic:
     path step is a stay or a 4-neighbour move, so the remaining length
     ``len(path) - 1 - i`` is at least ``dist(path[i], goal)``; by the
     triangle inequality the goal term is always least, and ``value(c)`` is
-    the unit distance from ``c`` to the path's last cell. It comes from a
-    lazy breadth-first search from the goal: a query expands whole levels
-    until its cell is settled and the next query resumes from there, in one
-    float32 array over the map's cells that reads inf until a cell settles.
+    the unit distance from ``c`` to the path's last cell.
+
+    Construction runs one breadth-first search from the goal over the
+    map's unit graph (every edge has its reverse, so distances from the
+    goal are distances to it). The field is one ``array('i')`` over the
+    map's cells, 4 bytes a cell, and each entry is one of: the cell's
+    predecessor in the search tree (>= 0); -1 for a blocked cell or one
+    the goal cannot reach; or ``-2 - d`` once the cell's distance ``d`` is
+    known, which the goal is from the start. A tree depth is the exact
+    unit distance, so ``value(c)`` follows predecessors up to the first
+    known distance and writes the distances back along the way.
+
+    Raises:
+        ValueError: On an empty path, a step that is not a stay or a
+            4-neighbour move, or a goal that is blocked or off the map.
     """
 
     def __init__(self, grid: GridMap, path: list[int]):
@@ -38,35 +54,40 @@ class GuideHeuristic:
             raise ValueError("guide path must contain at least one cell")
         if any(a != b and b not in grid.neighbors(a) for a, b in zip(path, path[1:])):
             raise ValueError("guide path steps must be stays or 4-neighbour moves")
-        self.grid = grid
-        self.goal = path[-1]
-        self._dist = array("f", [inf]) * (grid.width * grid.height)
-        self._dist[self.goal] = 0.0
-        self._level: list[int] = [self.goal]   # cells settled at _depth - 1
-        self._depth = 1
+        goal = path[-1]
+        if not grid.is_free(goal):
+            raise ValueError(f"goal {goal} is blocked or off the map")
+        self.goal = goal
+        _, pred = breadth_first_order(grid.unit_graph, goal, directed=True,
+                                      return_predecessors=True)
+        # scipy marks unreached cells, and the goal itself, with -9999.
+        np.maximum(pred, -1, out=pred)
+        pred[goal] = -2
+        self._field = array("i", pred.astype("intc", copy=False).tobytes())
 
     def value(self, cell: int) -> float:
         """Heuristic value at ``cell`` (inf if unreachable or off the map)."""
-        dist = self._dist
-        if not 0 <= cell < len(dist):
+        if cell < 0:
             return inf
-        got = dist[cell]
-        if got != inf:
-            return got
-        neighbors = self.grid._neighbors
-        level, d = self._level, self._depth
-        while got == inf and level:
-            nxt = []
-            for v in level:
-                for u in neighbors[v]:
-                    if dist[u] == inf:
-                        dist[u] = d
-                        nxt.append(u)
-            level = nxt
+        field = self._field
+        try:
+            got = field[cell]
+        except IndexError:
+            return inf
+        if got <= -2:
+            return -2.0 - got
+        if got == -1:
+            return inf
+        chain = []
+        while got >= 0:
+            chain.append(cell)
+            cell = got
+            got = field[cell]
+        d = -2 - got
+        for c in reversed(chain):
             d += 1
-            got = dist[cell]
-        self._level, self._depth = level, d
-        return got
+            field[c] = -2 - d
+        return float(d)
 
 
 def build_guide_heuristic(grid: GridMap, path: list[int]) -> GuideHeuristic:

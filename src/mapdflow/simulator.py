@@ -214,7 +214,7 @@ class Simulation:
 
     def _station_weights(self) -> np.ndarray:
         # Unit distance to the nearest workstation; weight ~ 1 / (1 + distance).
-        dist = dijkstra(self.grid.adjacency(), indices=self._e_cells,
+        dist = dijkstra(self.grid.unit_graph, indices=self._e_cells,
                         unweighted=True, min_only=True)[self._s_cells]
         dist[np.isinf(dist)] = self.grid.num_free
         w = 1.0 / (1.0 + dist)

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapdflow.grid_map import GridMap, parse_map, shortest_distances
+from mapdflow.mapgen import random_map, warehouse_map
 from mapdflow.planner import (GuideHeuristic, build_guide_heuristic,
                               pibt_step, update_priorities)
+from mapdflow.simulator import SimConfig, Simulation
 
 from conftest import random_grid
 
@@ -63,6 +65,59 @@ def test_heuristic_off_map_cell_inf(open3x3, cell):
 def test_heuristic_empty_path_rejected(open3x3):
     with pytest.raises(ValueError):
         GuideHeuristic(open3x3, [])
+
+
+@pytest.mark.parametrize("goal", [-1, 9, 4], ids=["before", "after", "blocked"])
+def test_heuristic_rejects_goal_off_map_or_blocked(goal):
+    # Cells -1 and width * height lie just outside the map; cell 4 is the
+    # blocked centre of a 3x3 ring.
+    grid = parse_map("type octile\nheight 3\nwidth 3\nmap\n...\n.@.\n...\n")
+    with pytest.raises(ValueError, match="goal"):
+        GuideHeuristic(grid, [goal])
+
+
+def test_heuristic_value_types_around_goal():
+    # Columns 0-2 and column 4 are two components; column 3 is blocked.
+    grid = parse_map("type octile\nheight 2\nwidth 5\nmap\n...@.\n...@.\n")
+    h = GuideHeuristic(grid, [0])
+    reachable = {0: 0.0, 1: 1.0, 2: 2.0, 5: 1.0, 6: 2.0, 7: 3.0}
+    unreachable = [3, 8, 4, 9, -1, 10]   # blocked, other component, off map
+
+    def check_unreachable():
+        for c in unreachable:
+            got = h.value(c)
+            assert type(got) is float and got == float("inf"), c
+
+    check_unreachable()                  # before any distance is resolved
+    for c in (7, 2, 6, 1, 5, 0, 7):      # far cells first, then repeats
+        got = h.value(c)
+        assert type(got) is float and got == reachable[c], c
+    check_unreachable()
+
+
+def test_fields_leave_the_unit_graph_unchanged(monkeypatch):
+    grids = [random_map(12, 9, 0.3, seed=3), warehouse_map()]
+    for grid in grids:
+        csr = grid.unit_graph
+        before = [a.copy() for a in (csr.data, csr.indices, csr.indptr)]
+
+        def no_second_graph(costs=None, _real=grid.adjacency):
+            assert costs is not None, "the unit graph is built once per map"
+            return _real(costs)
+
+        monkeypatch.setattr(grid, "adjacency", no_second_graph)
+        for goal in grid.free_cells:
+            h = GuideHeuristic(grid, [goal])
+            for c in range(-1, grid.width * grid.height + 1):
+                h.value(c)
+        if grid.labels:   # station weights read the unit graph too
+            cfg = SimConfig(num_agents=20, task_distribution="labeled-es",
+                            horizon=15, seed=4)
+            Simulation(grid, cfg).run()
+        assert grid.unit_graph is csr
+        for part, old in zip((csr.data, csr.indices, csr.indptr), before):
+            assert not part.flags.writeable
+            assert part.dtype == old.dtype and (part == old).all()
 
 
 @st.composite

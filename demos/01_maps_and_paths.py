@@ -1,10 +1,14 @@
 """Grid maps and shortest-path queries.
 
 Parses a small benchmark-format map, inspects the traversability graph,
-and runs distance queries under unit and non-unit edge costs.
+and runs distance queries under unit and non-unit edge costs. Costs are
+one float64 array over the map's directed edges, or a model that prices
+the edges' tail and head arrays in one call.
 """
 
-from mapdflow import DistanceProvider, parse_map, shortest_distances
+import numpy as np
+
+from mapdflow import DistanceProvider, parse_map
 
 MAP_TEXT = """\
 type octile
@@ -27,16 +31,11 @@ print("shelf cells:", grid.cells_with_label("S"),
 shelf = grid.cells_with_label("S")[0]
 station = grid.cells_with_label("E")[0]
 
-dist = shortest_distances(grid, shelf)
-print(f"\nunit-cost distance shelf -> station: {dist[station]:.0f}")
-
-# Early-terminating query: stop as soon as the station is settled.
-partial = shortest_distances(grid, shelf, targets={station})
-print(f"early-terminated search settled {len(partial)} cells "
-      f"(full search: {len(dist)})")
-
 # A provider caches distance-to-goal tables and extracts concrete paths.
 provider = DistanceProvider(grid)
+dist = provider.distance(shelf, station)
+print(f"\nunit-cost distance shelf -> station: {dist:.0f}")
+
 path = provider.shortest_path(shelf, station)
 print("\npath from shelf to station:")
 marks = {c: "*" for c in path}
@@ -50,9 +49,9 @@ for y in range(grid.height):
     print("  " + row)
 
 # Direction-dependent costs: moving east is five times as expensive.
-def east_is_slow(u, v):
-    return 5.0 if v == u + 1 else 1.0
+def east_is_slow(tails, heads):
+    return np.where(heads == tails + 1, 5.0, 1.0)
 
-weighted = shortest_distances(grid, shelf, east_is_slow)
-print(f"\nwith east-penalized costs the same trip costs {weighted[station]:.0f} "
-      f"(was {dist[station]:.0f})")
+weighted = DistanceProvider(grid, east_is_slow).distance(shelf, station)
+print(f"\nwith east-penalized costs the same trip costs {weighted:.0f} "
+      f"(was {dist:.0f})")

@@ -7,7 +7,7 @@ observed waiting, with exponential decay favoring recent congestion.
 """
 
 from mapdflow import (EdgeWaitStats, TrafficState, contraflow, fcost, pcost,
-                      unit_cost, update_wait_stats, vertex_congestion)
+                      update_wait_stats, vertex_congestion)
 
 # Three delivering agents; two pass through cell 12, one drives against
 # the flow on edge (11, 12).
@@ -20,7 +20,7 @@ ts = TrafficState.from_guide_paths(guide_paths)
 
 print("edge            unit  p_v2  c_e  fcost")
 for e in ((11, 12), (12, 11), (12, 13), (10, 11)):
-    print(f"{str(e):<15} {unit_cost(e):>4.0f} "
+    print(f"{str(e):<15} {1:>4} "
           f"{vertex_congestion(e[1], ts):>5.0f} {contraflow(e, ts):>4.0f} "
           f"{fcost(e, ts):>6.0f}")
 

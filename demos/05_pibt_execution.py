@@ -5,7 +5,7 @@ frames: nobody ever shares a cell or swaps along an edge; blocked agents
 inherit priority and push idle ones out of the way.
 """
 
-from mapdflow import (DistanceProvider, build_guide_heuristic, parse_map,
+from mapdflow import (DistanceProvider, GuideHeuristic, parse_map,
                       pibt_step, update_priorities)
 
 MAP_TEXT = """\
@@ -30,7 +30,7 @@ n = len(starts)
 heuristics = []
 for s, g in zip(starts, goals):
     path = provider.shortest_path(s, g)
-    heuristics.append(build_guide_heuristic(grid, path))
+    heuristics.append(GuideHeuristic(grid, path[-1]))
 
 locations = list(starts)
 priorities = update_priorities([0.0] * n, [False] * n, [True] * n)

@@ -6,15 +6,13 @@ from .assignment import (Agent, AssignmentSet, FlowNetworkBuilder, Task,
                          greedy_assign, linear_assignment,
                          retrieve_assignments)
 from .cost_models import (AvgWaitCost, EdgeWaitStats, TrafficCost,
-                          TrafficState, UnitCost, contraflow, fcost, pcost,
-                          unit_cost, update_wait_stats, vertex_congestion)
-from .grid_map import (DistanceProvider, GridMap, MapParseError, parse_map,
-                       shortest_distances)
+                          TrafficState, contraflow, fcost, pcost,
+                          update_wait_stats, vertex_congestion)
+from .grid_map import DistanceProvider, GridMap, MapParseError, parse_map
 from .mapgen import random_map, warehouse_map
 from .mincost_flow import (FlowInfeasibleError, FlowNetwork, FlowSolution,
                            max_flow_value, solve_min_cost_flow, to_dimacs)
-from .planner import (ActionStep, GuideHeuristic, build_guide_heuristic,
-                      pibt_step, update_priorities)
+from .planner import ActionStep, GuideHeuristic, pibt_step, update_priorities
 from .simulator import SimConfig, SimMetrics, Simulation, StepRecord, run
 
 __version__ = "0.1.0"
@@ -23,15 +21,12 @@ __all__ = [
     "Agent", "AssignmentSet", "FlowNetworkBuilder", "Task", "TaskState",
     "build_flow_network", "flow_assign", "greedy_assign", "linear_assignment",
     "retrieve_assignments",
-    "AvgWaitCost", "EdgeWaitStats", "TrafficCost", "TrafficState", "UnitCost",
-    "contraflow", "fcost", "pcost", "unit_cost", "update_wait_stats",
-    "vertex_congestion",
+    "AvgWaitCost", "EdgeWaitStats", "TrafficCost", "TrafficState",
+    "contraflow", "fcost", "pcost", "update_wait_stats", "vertex_congestion",
     "DistanceProvider", "GridMap", "MapParseError", "parse_map",
-    "shortest_distances",
     "random_map", "warehouse_map",
     "FlowInfeasibleError", "FlowNetwork", "FlowSolution", "max_flow_value",
     "solve_min_cost_flow", "to_dimacs",
-    "ActionStep", "GuideHeuristic", "build_guide_heuristic", "pibt_step",
-    "update_priorities",
+    "ActionStep", "GuideHeuristic", "pibt_step", "update_priorities",
     "SimConfig", "SimMetrics", "Simulation", "StepRecord", "run",
 ]

@@ -128,8 +128,8 @@ def agent_task_distances(grid: GridMap, agents: list[Agent], tasks: list[Task],
                          edge_cost: EdgeCost | None = None) -> np.ndarray:
     """Stage-1 distance matrix: rows are agents (id order), columns tasks.
 
-    Equivalent to one ``shortest_distances`` call per agent; computed as a
-    single batched sparse-graph Dijkstra for speed.
+    Each entry is the cheapest agent-to-pickup path cost (inf when
+    unreachable), from one batched sparse-graph Dijkstra over the costs.
     """
     csr = grid.adjacency(grid.edge_costs(edge_cost))
     agent_cells = [a.location for a in sorted(agents, key=lambda a: a.id)]

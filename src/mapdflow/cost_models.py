@@ -1,21 +1,17 @@
-"""Edge-cost models: unit, planner-traffic estimates, and decayed wait stats.
+"""Edge-cost models: planner-traffic estimates and decayed wait stats.
 
-All models return costs >= 1 for every edge, so unit cost is the common
-lower bound and flow networks never see costs below 1. The functions
-(:func:`fcost`, :func:`pcost` and the terms they add up) are the scalar
-reference formulas. The model classes :class:`UnitCost`,
-:class:`TrafficCost` and :class:`AvgWaitCost` take either one edge
-``(tail, head)`` as ints, giving a float, or equal-length int arrays of
-tails and heads, giving a float64 array equal to the scalar formula on
-every edge, bit for bit.
+Every model returns costs >= 1 on every edge, so unit cost (no model at
+all) is the common lower bound and flow networks never see costs below
+1. The functions (:func:`fcost`, :func:`pcost` and the terms they add up)
+are the scalar reference formulas, read edge by edge from a state's dict
+form, the form a state has without a grid.
 
-The congestion states come in two forms. Without a grid they hold dicts,
-read edge by edge by the scalar formulas. On a grid, as the simulator
-builds them, they hold arrays over the grid's cells and edge ids, updated
-only where something changes, and are read whole: a model over such a
-state takes only the grid's own edge arrays (what
-:meth:`mapdflow.grid_map.GridMap.edge_costs` passes) and prices them in
-one numpy expression.
+On a grid, as the simulator builds them, the states hold arrays over the
+grid's cells and edge ids instead, updated only where something changes.
+The models :class:`TrafficCost` and :class:`AvgWaitCost` price only such
+states: called once with the grid's own edge arrays (what
+:meth:`mapdflow.grid_map.GridMap.edge_costs` passes), they return a
+float64 array equal to the scalar formula on every edge, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -31,17 +27,10 @@ if TYPE_CHECKING:
     from .grid_map import GridMap
 
 
-def _per_edge(formula: Callable, state, tails: np.ndarray,
-              heads: np.ndarray) -> np.ndarray:
-    """``formula((tail, head), state)`` at every queried edge, as float64."""
-    return np.array([formula(e, state) for e in zip(tails.tolist(), heads.tolist())],
-                    dtype=np.float64)
-
-
-def _check_own_edges(grid: GridMap, tails, heads) -> None:
-    if tails is not grid.tails or heads is not grid.heads:
-        raise ValueError("a state on a grid is priced over that grid's "
-                         "edge arrays only")
+def _check_own_edges(grid: GridMap | None, tails, heads) -> None:
+    if grid is None or tails is not grid.tails or heads is not grid.heads:
+        raise ValueError("a model prices a state kept on a grid, over that "
+                         "grid's edge arrays only")
 
 
 class TrafficState:
@@ -134,10 +123,6 @@ def contraflow(e: tuple[int, int], ts: TrafficState) -> float:
 def fcost(e: tuple[int, int], ts: TrafficState) -> float:
     """Planner-estimate edge cost: 1 + vertex congestion at the head + contraflow."""
     return 1.0 + vertex_congestion(e[1], ts) + contraflow(e, ts)
-
-
-def unit_cost(e: tuple[int, int]) -> float:
-    return 1.0
 
 
 class EdgeWaitStats:
@@ -253,28 +238,15 @@ def pcost(e: tuple[int, int], stats: EdgeWaitStats) -> float:
     return 1.0 + stats.wait_total(e) / n
 
 
-class UnitCost:
-    """Edge cost of exactly 1 everywhere."""
-
-    def __call__(self, u, v):
-        if isinstance(u, np.ndarray):
-            return np.ones(len(u))
-        return 1.0
-
-
 class TrafficCost:
-    """Congestion-estimate edge cost (:func:`fcost`) over a traffic state,
-    read as it is at the call."""
+    """Congestion-estimate edge cost (:func:`fcost`) over a traffic state
+    kept on a grid, read as it is at the call."""
 
     def __init__(self, ts: TrafficState):
         self.ts = ts
 
     def __call__(self, u, v):
         grid = self.ts.grid
-        if grid is None:
-            if isinstance(u, np.ndarray):
-                return _per_edge(fcost, self.ts, u, v)
-            return fcost((u, v), self.ts)
         _check_own_edges(grid, u, v)
         n = self.ts.entry_counts
         congestion = np.where(n > 1, np.ceil((n - 1) / 2), 0.0)
@@ -283,7 +255,8 @@ class TrafficCost:
 
 
 class AvgWaitCost:
-    """Average-observed-waiting edge cost (:func:`pcost`).
+    """Average-observed-waiting edge cost (:func:`pcost`) over wait
+    statistics kept on a grid.
 
     Each call reads the statistics as they are at that moment. The
     simulator evaluates the model once per scheduling round into a cost
@@ -295,10 +268,6 @@ class AvgWaitCost:
 
     def __call__(self, u, v):
         stats = self.stats
-        if stats.grid is None:
-            if isinstance(u, np.ndarray):
-                return _per_edge(pcost, stats, u, v)
-            return pcost((u, v), stats)
         _check_own_edges(stats.grid, u, v)
         factor = stats.decay(stats.epoch - stats.stamp)
         n, w = stats.n * factor, stats.w * factor

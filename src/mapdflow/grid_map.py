@@ -1,4 +1,4 @@
-"""Grid maps, traversability, and shortest-path queries.
+"""Grid maps, traversability, and distance-to-goal tables.
 
 Maps are 4-connected grids parsed from the MovingAI benchmark text format.
 Cells are addressed by a single row-major integer index. All downstream
@@ -8,24 +8,22 @@ canonical tie-breaking order for the whole package.
 
 Each map holds its traversability graph once, in CSR form: directed edges
 are numbered by tail cell, then N, E, S, W, and every per-edge quantity
-(costs above all) is a float64 array aligned to those edge ids.
+(costs above all) is a float64 array aligned to those edge ids. Costed
+distances come from one engine, ``scipy.sparse.csgraph.dijkstra`` over
+such an array (see :class:`DistanceProvider`).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from heapq import heappush, heappop
-from typing import Callable, Container, Iterable, Iterator, Union
+from typing import Callable, Container, Iterator, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .cost_models import AvgWaitCost, TrafficCost, UnitCost
-
-# A cost per directed edge: a function of (tail, head), or an array
-# aligned to the grid's edge ids.
-EdgeCost = Union[Callable[[int, int], float], np.ndarray]
+# A cost per directed edge: an array aligned to the grid's edge ids, or a
+# model that prices the grid's tail and head arrays in one call.
+EdgeCost = Union[np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 FREE_CHARS = {".", "E", "S"}
 BLOCKED_CHARS = {"@", "T"}
@@ -156,18 +154,19 @@ class GridMap:
 
     def edge_ids(self, tails, heads) -> np.ndarray:
         """Id of each directed edge ``(tails[i], heads[i])``, or -1 where
-        the pair is not an edge. Tails must be cell indices."""
+        the pair is not an edge, a tail off the map included."""
         tails = np.asarray(tails, dtype=np.int64)
-        match = self._head_at[tails] == np.asarray(heads)[:, None]
+        on_map = (tails >= 0) & (tails < len(self._edge_at))
+        tails = np.where(on_map, tails, 0)
+        match = (self._head_at[tails] == np.asarray(heads)[:, None]) & on_map[:, None]
         return np.where(match, self._edge_at[tails], -1).max(axis=1, initial=-1)
 
     def edge_costs(self, edge_cost: EdgeCost | None = None) -> np.ndarray:
         """Per-edge costs as a float64 array aligned to the edge ids.
 
-        ``None`` gives ones. A model from :mod:`mapdflow.cost_models` is
-        called once, as ``edge_cost(tails, heads)`` over the edge arrays;
-        any other callable is evaluated once per edge as
-        ``edge_cost(tail, head)``; an array passes through.
+        ``None`` gives ones and an array passes through. A model (see
+        :mod:`mapdflow.cost_models`) is called once, as
+        ``edge_cost(tails, heads)`` over the grid's edge arrays.
 
         Raises:
             ValueError: On a wrongly sized array, or on any negative or
@@ -175,13 +174,9 @@ class GridMap:
         """
         if edge_cost is None:
             return np.ones(len(self.heads))
-        if isinstance(edge_cost, (UnitCost, TrafficCost, AvgWaitCost)):
-            costs = edge_cost(self.tails, self.heads)
-        elif callable(edge_cost):
-            costs = np.array([edge_cost(v, u) for v, u in self.directed_edges()],
-                             dtype=np.float64)
-        else:
-            costs = np.asarray(edge_cost, dtype=np.float64)
+        if callable(edge_cost):
+            edge_cost = edge_cost(self.tails, self.heads)
+        costs = np.asarray(edge_cost, dtype=np.float64)
         if costs.shape != self.heads.shape:
             raise ValueError(f"expected {len(self.heads)} edge costs, "
                              f"got shape {costs.shape}")
@@ -272,64 +267,6 @@ def parse_map(text: str) -> GridMap:
             if ch != ".":
                 labels[v] = ch
     return GridMap(width, height, free, labels)
-
-
-def shortest_distances(grid: GridMap, source: int,
-                       edge_cost: Callable[[int, int], float] | None = None,
-                       targets: Iterable[int] | None = None) -> dict[int, float]:
-    """Exact shortest-path costs from ``source`` under a nonnegative edge cost.
-
-    With ``edge_cost=None`` every edge costs 1 and a plain BFS is used.
-    When ``targets`` is given the search stops once every reachable target
-    is settled. Unreachable cells are absent from the result.
-    """
-    if not grid.is_free(source):
-        raise ValueError(f"source cell {source} is blocked or out of range")
-    remaining = set(targets) if targets is not None else None
-    if remaining is not None:
-        remaining.discard(source)
-
-    dist: dict[int, float] = {source: 0.0}
-    if edge_cost is None:
-        queue = deque([source])
-        while queue:
-            if remaining is not None and not remaining:
-                break
-            v = queue.popleft()
-            d = dist[v] + 1.0
-            for u in grid._neighbors[v]:
-                if u not in dist:
-                    dist[u] = d
-                    if remaining is not None:
-                        remaining.discard(u)
-                    queue.append(u)
-        return dist
-
-    settled: set[int] = set()
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    best = {source: 0.0}
-    dist = {}
-    while heap:
-        d, v = heappop(heap)
-        if v in settled:
-            continue
-        settled.add(v)
-        dist[v] = d
-        if remaining is not None:
-            remaining.discard(v)
-            if not remaining:
-                break
-        for u in grid._neighbors[v]:
-            if u in settled:
-                continue
-            c = edge_cost(v, u)
-            if c < 0:
-                raise ValueError(f"negative edge cost on ({v}, {u})")
-            nd = d + c
-            if nd < best.get(u, float("inf")):
-                best[u] = nd
-                heappush(heap, (nd, u))
-    return dist
 
 
 class DistanceProvider:

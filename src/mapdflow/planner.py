@@ -6,9 +6,10 @@ the priority and plans first, backtracking if it cannot make room. The
 resulting step never contains a vertex collision or an edge swap.
 
 Movement preferences come from a guide-path heuristic, which for a path
-of unit moves is the unit distance to the path's last cell. Each goal's
-field is one breadth-first search from the goal in C, kept as its tree of
-predecessors; a query reads a cell's depth off that tree.
+of unit moves is the unit distance to the path's last cell, so it is
+built from that goal alone. Each goal's field is one breadth-first
+search from the goal in C, kept as its tree of predecessors; a query
+reads a cell's depth off that tree.
 """
 
 from __future__ import annotations
@@ -25,14 +26,15 @@ from .grid_map import GridMap
 
 
 class GuideHeuristic:
-    """Distance-to-goal estimates for an agent following a guide path.
+    """Unit distance to an agent's goal, the last cell of its guide path.
 
-    The detour-to-path estimate a path defines is the least, over path
-    cells ``path[i]``, of ``dist(c, path[i]) + len(path) - 1 - i``. Every
-    path step is a stay or a 4-neighbour move, so the remaining length
-    ``len(path) - 1 - i`` is at least ``dist(path[i], goal)``; by the
-    triangle inequality the goal term is always least, and ``value(c)`` is
-    the unit distance from ``c`` to the path's last cell.
+    The detour-to-path estimate a guide path defines is the least, over
+    path cells ``path[i]``, of ``dist(c, path[i]) + len(path) - 1 - i``.
+    Every path step is a stay or a 4-neighbour move, so the remaining
+    length ``len(path) - 1 - i`` is at least ``dist(path[i], goal)``; by
+    the triangle inequality the goal term is always least. So the
+    heuristic takes only the goal, and ``value(c)`` is the unit distance
+    from ``c`` to it.
 
     Construction runs one breadth-first search from the goal over the
     map's unit graph (every edge has its reverse, so distances from the
@@ -45,16 +47,10 @@ class GuideHeuristic:
     known distance and writes the distances back along the way.
 
     Raises:
-        ValueError: On an empty path, a step that is not a stay or a
-            4-neighbour move, or a goal that is blocked or off the map.
+        ValueError: On a goal that is blocked or off the map.
     """
 
-    def __init__(self, grid: GridMap, path: list[int]):
-        if not path:
-            raise ValueError("guide path must contain at least one cell")
-        if any(a != b and b not in grid.neighbors(a) for a, b in zip(path, path[1:])):
-            raise ValueError("guide path steps must be stays or 4-neighbour moves")
-        goal = path[-1]
+    def __init__(self, grid: GridMap, goal: int):
         if not grid.is_free(goal):
             raise ValueError(f"goal {goal} is blocked or off the map")
         self.goal = goal
@@ -88,10 +84,6 @@ class GuideHeuristic:
             d += 1
             field[c] = -2 - d
         return float(d)
-
-
-def build_guide_heuristic(grid: GridMap, path: list[int]) -> GuideHeuristic:
-    return GuideHeuristic(grid, path)
 
 
 @dataclass

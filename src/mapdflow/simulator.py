@@ -79,7 +79,7 @@ class SimConfig:
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
         if self.step_budget is not None and self.step_budget < 0:
-            raise ValueError("step budget must be positive when enabled")
+            raise ValueError("step budget must be nonnegative when enabled")
         if self.task_distribution not in TASK_DISTRIBUTIONS:
             raise ValueError(f"unknown task distribution {self.task_distribution!r}")
 
@@ -299,8 +299,9 @@ class Simulation:
                     if self.tasks[tid].state == TaskState.POOLED]
             return greedy_assign(available, pool, self.provider), available
         available = [a for a in self.agents if not a.is_delivering]
+        # Active tasks are undelivered, so this keeps pooled and assigned ones.
         pool = [self.tasks[tid] for tid in self.active_ids
-                if self.tasks[tid].state in (TaskState.POOLED, TaskState.ASSIGNED)]
+                if self.tasks[tid].state is not TaskState.PICKED_UP]
         if cfg.strategy == "linear":
             return linear_assignment(available, pool, self.grid, self.edge_cost), available
         return (flow_assign(self.grid, available, pool, self.edge_cost,
@@ -402,7 +403,7 @@ class Simulation:
             # One heuristic per goal: kept while some agent heads there.
             goals = [self._goal_of(a) for a in self.agents]
             kept = self._fields
-            self._fields = {g: kept[g] if g in kept else GuideHeuristic(self.grid, [g])
+            self._fields = {g: kept[g] if g in kept else GuideHeuristic(self.grid, g)
                             for g in set(goals) - {None}}
             heuristics = [self._fields.get(g) for g in goals]
             old = [a.location for a in self.agents]

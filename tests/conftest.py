@@ -18,7 +18,7 @@ from mapdflow.mincost_flow import FlowNetwork
 
 
 def bfs_distances(grid, source):
-    """Unit-cost distances by plain BFS (independent of shortest_distances)."""
+    """Unit-cost distances by plain BFS, independent of the library."""
     dist = {source: 0}
     queue = deque([source])
     while queue:

@@ -18,13 +18,12 @@ import pytest
 
 from mapdflow.assignment import Agent, Task, flow_assign, linear_assignment
 from mapdflow.cli import bench_scaling, run_cli
-from mapdflow.grid_map import shortest_distances
 from mapdflow.mapgen import random_map, warehouse_map
 from mapdflow.mincost_flow import (FlowInfeasibleError, max_flow_value,
                                    solve_min_cost_flow)
 from mapdflow.simulator import SimConfig, Simulation
 
-from conftest import (assignment_oracle, flow_cost_oracle,
+from conftest import (assignment_oracle, bfs_distances, flow_cost_oracle,
                       random_flow_network, residual_has_negative_cycle)
 
 WORKERS = min(12, os.cpu_count() or 1)
@@ -56,15 +55,20 @@ def _random_instance(rng, real_costs=False):
         pickup = rng.choice(cells)
         delivery = rng.choice([c for c in cells if c != pickup])
         tasks.append(Task(id=j, pickup=pickup, delivery=delivery))
-    edge_cost = None
+    costs = None
     if real_costs:
         costs = {(u, v): 1.0 + 4.0 * rng.random() for u, v in grid.directed_edges()}
-        edge_cost = lambda u, v, _c=costs: _c[(u, v)]
-    return grid, agents, tasks, edge_cost
+    return grid, agents, tasks, costs
 
 
-def _oracle_distance_fn(grid, agents, tasks, edge_cost):
-    tables = {a.id: shortest_distances(grid, a.location, edge_cost) for a in agents}
+def _cost_array(grid, costs):
+    """The ``(tail, head) -> cost`` dict as the library takes it: one array
+    over the grid's edge ids."""
+    return np.array([costs[e] for e in grid.directed_edges()])
+
+
+def _oracle_distance_fn(grid, agents, tasks):
+    tables = {a.id: bfs_distances(grid, a.location) for a in agents}
     pickups = {t.id: t.pickup for t in tasks}
     return lambda aid, tid: tables[aid].get(pickups[tid], math.inf)
 
@@ -80,9 +84,9 @@ def equivalence_instances():
         unit_cases.append((grid, agents, tasks, None, fa))
     real_cases = []
     for _ in range(100):
-        grid, agents, tasks, edge_cost = _random_instance(rng, real_costs=True)
-        fa = flow_assign(grid, agents, tasks, edge_cost)
-        real_cases.append((grid, agents, tasks, edge_cost, fa))
+        grid, agents, tasks, costs = _random_instance(rng, real_costs=True)
+        fa = flow_assign(grid, agents, tasks, _cost_array(grid, costs))
+        real_cases.append((grid, agents, tasks, costs, fa))
     return unit_cases, real_cases
 
 
@@ -94,7 +98,7 @@ def test_criterion_1_unit_cost_equivalence(equivalence_instances):
         for grid, agents, tasks, _, fa in unit_cases:
             la = linear_assignment(agents, tasks, grid)
             want, size = assignment_oracle(
-                _oracle_distance_fn(grid, agents, tasks, None),
+                _oracle_distance_fn(grid, agents, tasks),
                 [a.id for a in agents], [t.id for t in tasks])
             assert fa.total_cost == la.total_cost == want  # integer-exact
             assert len(fa.pairs) == len(la.pairs) == size
@@ -105,8 +109,8 @@ def test_criterion_2_real_cost_equivalence(equivalence_instances):
     _, real_cases = equivalence_instances
     with criterion(2, "matching equivalence, non-integer costs"):
         assert len(real_cases) >= 100
-        for grid, agents, tasks, edge_cost, fa in real_cases:
-            la = linear_assignment(agents, tasks, grid, edge_cost)
+        for grid, agents, tasks, costs, fa in real_cases:
+            la = linear_assignment(agents, tasks, grid, _cost_array(grid, costs))
             rel = abs(fa.total_cost - la.total_cost) / (1.0 + abs(la.total_cost))
             assert rel <= 1e-6
 
@@ -114,7 +118,7 @@ def test_criterion_2_real_cost_equivalence(equivalence_instances):
 def test_criterion_3_retrieval_soundness(equivalence_instances):
     unit_cases, real_cases = equivalence_instances
     with criterion(3, "flow-decomposition soundness"):
-        for grid, agents, tasks, edge_cost, fa in unit_cases + real_cases:
+        for grid, agents, tasks, costs, fa in unit_cases + real_cases:
             assert len(set(fa.pairs.values())) == len(fa.pairs)  # injective
             path_costs = []
             for aid, path in fa.guide_paths.items():
@@ -124,9 +128,9 @@ def test_criterion_3_retrieval_soundness(equivalence_instances):
                 assert path[-1] == task.pickup
                 for u, v in zip(path, path[1:]):
                     assert v in grid.neighbors(u)
-                    path_costs.append(1.0 if edge_cost is None else edge_cost(u, v))
+                    path_costs.append(1.0 if costs is None else costs[(u, v)])
             total = math.fsum(path_costs)
-            if edge_cost is None:
+            if costs is None:
                 assert total == fa.total_cost  # integer-exact
             else:
                 assert abs(total - fa.total_cost) <= 1e-9 * (1.0 + abs(fa.total_cost))

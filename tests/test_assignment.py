@@ -7,10 +7,10 @@ import pytest
 from mapdflow.assignment import (Agent, Task, build_flow_network, flow_assign,
                                  greedy_assign, linear_assignment,
                                  retrieve_assignments)
-from mapdflow.grid_map import DistanceProvider, GridMap, shortest_distances
+from mapdflow.grid_map import DistanceProvider, GridMap
 from mapdflow.mincost_flow import solve_min_cost_flow
 
-from conftest import assignment_oracle, random_grid
+from conftest import assignment_oracle, bfs_distances, random_grid
 
 
 class StubProvider:
@@ -36,12 +36,12 @@ def make_instance(rng, grid, n_agents, n_tasks):
     return agents, tasks
 
 
-def dist_fn(grid, agents, tasks, edge_cost=None):
+def dist_fn(grid, agents, tasks):
     cache = {}
     def of(agent_id, task_id):
         if agent_id not in cache:
             agent = next(a for a in agents if a.id == agent_id)
-            cache[agent_id] = shortest_distances(grid, agent.location, edge_cost)
+            cache[agent_id] = bfs_distances(grid, agent.location)
         task = next(t for t in tasks if t.id == task_id)
         return cache[agent_id].get(task.pickup, math.inf)
     return of
@@ -287,7 +287,7 @@ def test_flow_equals_linear_and_oracle_small_instances():
             assert path[0] == agent.location and path[-1] == task.pickup
             for x, y in zip(path, path[1:]):
                 assert y in grid.neighbors(x)
-            d = shortest_distances(grid, agent.location).get(task.pickup)
+            d = bfs_distances(grid, agent.location).get(task.pickup)
             assert len(path) - 1 >= d
 
 
@@ -311,9 +311,9 @@ def test_flow_equivalence_under_directed_random_costs():
         agents, tasks = make_instance(
             rng, grid, rng.randint(1, 3), rng.randint(1, 4))
         costs = {(u, v): 1.0 + 4.0 * rng.random() for u, v in grid.directed_edges()}
-        fn = lambda u, v: costs[(u, v)]
-        fa = flow_assign(grid, agents, tasks, fn)
-        la = linear_assignment(agents, tasks, grid, fn)
+        arr = np.array([costs[e] for e in grid.directed_edges()])
+        fa = flow_assign(grid, agents, tasks, arr)
+        la = linear_assignment(agents, tasks, grid, arr)
         assert fa.total_cost == pytest.approx(la.total_cost, rel=1e-6)
 
 

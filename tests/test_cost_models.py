@@ -8,20 +8,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapdflow.cost_models import (AvgWaitCost, EdgeWaitStats, TrafficCost,
-                                  TrafficState, UnitCost, contraflow, fcost,
-                                  pcost, unit_cost, update_wait_stats,
-                                  vertex_congestion)
+                                  TrafficState, contraflow, fcost, pcost,
+                                  update_wait_stats, vertex_congestion)
 from mapdflow.grid_map import GridMap
+
+from conftest import random_grid
 
 
 def traffic(entries=None, traversals=None):
     return TrafficState(entries=entries or {}, traversals=traversals or {})
 
 
+def traffic_on_grid(grid, paths):
+    ts = TrafficState.on_grid(grid)
+    ts.set_paths(paths)
+    return ts
+
+
 def test_unit_cost_is_one():
-    assert unit_cost((3, 4)) == 1.0
-    assert sum(unit_cost((i, i + 1)) for i in range(7)) == 7.0
-    assert UnitCost()(10, 11) == 1.0
+    # Unit cost is no model at all: every edge costs 1.
+    grid = GridMap(4, 2, [True] * 8)
+    assert grid.edge_costs(None).tolist() == [1.0] * grid.num_directed_edges()
 
 
 def test_vertex_congestion_formula():
@@ -151,24 +158,21 @@ def test_cost_functions_lower_bound_one():
         for v in range(5):
             assert fcost((u, v), ts) >= 1.0
             assert pcost((u, v), stats) >= 1.0
-            assert unit_cost((u, v)) >= 1.0
 
 
 def test_fcost_empty_traffic_equals_unit_everywhere():
-    ts = traffic()
-    model = TrafficCost(ts)
-    for u in range(12):
-        assert model(u, u + 1) == 1.0
+    grid = GridMap(4, 3, [True] * 12)
+    assert (grid.edge_costs(TrafficCost(TrafficState.on_grid(grid))) == 1.0).all()
+    assert all(fcost(e, traffic()) == 1.0 for e in grid.directed_edges())
 
 
 def test_avg_wait_cost_fresh_equals_unit():
-    model = AvgWaitCost(EdgeWaitStats())
-    for u in range(12):
-        assert model(u, u + 1) == 1.0
+    grid = GridMap(4, 3, [True] * 12)
+    assert (grid.edge_costs(AvgWaitCost(EdgeWaitStats(grid=grid))) == 1.0).all()
+    assert all(pcost(e, EdgeWaitStats()) == 1.0 for e in grid.directed_edges())
 
 
 def test_cost_arrays_equal_scalar_formulas_edge_by_edge():
-    from conftest import random_grid
     rng = random.Random(9)
     for _ in range(5):
         grid = random_grid(rng, 7, 6, 0.15)
@@ -181,13 +185,13 @@ def test_cost_arrays_equal_scalar_formulas_edge_by_edge():
                 path.append(rng.choice(grid.neighbors(path[-1]) or [path[-1]]))
             paths.append(path)
         ts = TrafficState.from_guide_paths(paths)
-        stats = EdgeWaitStats(gamma=0.8)
+        stats, on_grid = EdgeWaitStats(gamma=0.8), EdgeWaitStats(0.8, grid=grid)
         for _ in range(3):
-            update_wait_stats(stats, [(rng.choice(edges), rng.randint(0, 4))
-                                      for _ in range(10)])
-        traffic_arr = grid.edge_costs(TrafficCost(ts))
-        wait_arr = grid.edge_costs(AvgWaitCost(stats))
-        assert (grid.edge_costs(UnitCost()) == 1.0).all()
+            events = [(rng.choice(edges), rng.randint(0, 4)) for _ in range(10)]
+            update_wait_stats(stats, events)
+            update_wait_stats(on_grid, events)
+        traffic_arr = grid.edge_costs(TrafficCost(traffic_on_grid(grid, paths)))
+        wait_arr = grid.edge_costs(AvgWaitCost(on_grid))
         for e, edge in enumerate(edges):
             assert traffic_arr[e] == fcost(edge, ts)
             assert wait_arr[e] == pcost(edge, stats)
@@ -234,52 +238,24 @@ def test_traffic_array_equals_fcost_edge_by_edge(data):
     assert ts.entries == Counter(p[i] for p in paths for i in range(1, len(p)))
     assert ts.traversals == Counter((p[i - 1], p[i]) for p in paths
                                     for i in range(1, len(p)))
-    fresh = TrafficState.from_guide_paths(paths)   # dict views never read
-    given_dicts = traffic(dict(ts.entries), dict(ts.traversals))
     want = [fcost(e, ts) for e in grid.directed_edges()]
-    for state in (fresh, ts, given_dicts):
-        arr = TrafficCost(state)(grid.tails, grid.heads)
-        assert arr.dtype == np.float64
-        assert arr.tolist() == want
-        assert grid.edge_costs(TrafficCost(state)).tolist() == want
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.data())
-def test_avg_wait_array_equals_pcost_edge_by_edge(data):
-    grid = data.draw(grids())
-    edges = list(grid.directed_edges())
-    gamma = data.draw(st.floats(0.0, 1.0, exclude_min=True))
-    stats = EdgeWaitStats(gamma=gamma)
-    for _ in range(data.draw(st.integers(0, 6))):
-        events = data.draw(st.lists(st.tuples(st.sampled_from(edges),
-                                              st.integers(0, 9)), max_size=8)
-                           if edges else st.just([]))
-        update_wait_stats(stats, events)
-    # Hand-written entries, stale stamps included; an edge may have W
-    # without N or the other way round, and N may be zero.
-    for e in data.draw(st.lists(st.sampled_from(edges), max_size=6)
-                       if edges else st.just([])):
-        stamp = data.draw(st.integers(0, stats.epoch))
-        table = data.draw(st.sampled_from([stats._w, stats._n]))
-        table[e] = (data.draw(st.floats(0.0, 50.0)), stamp)
-    want = [pcost(e, stats) for e in edges]
-    with np.errstate(over="ignore"):   # W / N may overflow, as in pcost
-        arr = AvgWaitCost(stats)(grid.tails, grid.heads)
+    arr = grid.edge_costs(TrafficCost(traffic_on_grid(grid, paths)))
     assert arr.dtype == np.float64
     assert arr.tolist() == want
-    if all(map(math.isfinite, want)):
-        assert grid.edge_costs(AvgWaitCost(stats)).tolist() == want
+
+
+GRID3 = GridMap(3, 3, [True] * 9)
 
 
 @pytest.mark.parametrize("model", [
-    UnitCost(),
-    TrafficCost(TrafficState.from_guide_paths([[0, 1, 2, 5], [5, 2, 1]])),
-    AvgWaitCost(update_wait_stats(EdgeWaitStats(), [((0, 1), 3), ((1, 0), 0)])),
+    TrafficCost(TrafficState.on_grid(GRID3)),
+    TrafficCost(traffic_on_grid(GRID3, [[0, 1, 2, 5], [5, 2, 1]])),
+    AvgWaitCost(update_wait_stats(EdgeWaitStats(grid=GRID3),
+                                  [((0, 1), 3), ((1, 0), 0)])),
 ])
 def test_edge_costs_calls_a_library_model_once(model, monkeypatch):
-    grid = GridMap(3, 3, [True] * 9)
-    want = [model(u, v) for u, v in grid.directed_edges()]
+    grid = GRID3
+    want = model(grid.tails, grid.heads).tolist()
     calls = []
     call = type(model).__call__
 
@@ -333,10 +309,9 @@ def test_grid_traffic_counts_follow_path_slots(data):
         assert grid.edge_costs(TrafficCost(ts)).tolist() == want
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.data())
-def test_grid_wait_stats_equal_dict_stats_edge_by_edge(data):
-    grid = data.draw(grids())
+def draw_wait_stats(data, grid):
+    """Wait statistics on ``grid`` and in dicts, fed the same events and
+    then the same hand-written entries."""
     edges = list(grid.directed_edges())
     gamma = data.draw(st.one_of(st.just(1.0),
                                 st.floats(0.0, 1.0, exclude_min=True)))
@@ -358,21 +333,40 @@ def test_grid_wait_stats_equal_dict_stats_edge_by_edge(data):
         n = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 50.0)))
         on_grid.w[i], on_grid.n[i], on_grid.stamp[i] = w, n, stamp
         plain._w[edges[i]], plain._n[edges[i]] = (w, stamp), (n, stamp)
+    return on_grid, plain
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_grid_wait_stats_equal_dict_stats_edge_by_edge(data):
+    grid = data.draw(grids())
+    on_grid, plain = draw_wait_stats(data, grid)
+    edges = list(grid.directed_edges())
     factor = on_grid.decay(on_grid.epoch - on_grid.stamp)
     assert (on_grid.w * factor).tolist() == [plain.wait_total(e) for e in edges]
     assert (on_grid.n * factor).tolist() == [plain.traversal_count(e) for e in edges]
-    want = [pcost(e, plain) for e in edges]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_avg_wait_array_equals_pcost_edge_by_edge(data):
+    grid = data.draw(grids())
+    on_grid, plain = draw_wait_stats(data, grid)
+    want = [pcost(e, plain) for e in grid.directed_edges()]
     with np.errstate(over="ignore"):   # W / N may overflow, as in pcost
         arr = AvgWaitCost(on_grid)(grid.tails, grid.heads)
     assert arr.dtype == np.float64
     assert arr.tolist() == want
+    if all(map(math.isfinite, want)):
+        assert grid.edge_costs(AvgWaitCost(on_grid)).tolist() == want
 
 
 def test_grid_states_reject_events_and_edges_off_the_grid():
     grid = GridMap(3, 1, [True, True, False])
     stats = EdgeWaitStats(grid=grid)
     update_wait_stats(stats, [((0, 1), 2), ((1, 0), 0)])
-    for bad in ([((1, 2), 0)], [((0, 2), 0)], [((0, 1), -1)]):
+    for bad in ([((1, 2), 0)], [((0, 2), 0)], [((0, 1), -1)], [((-1, 1), 0)],
+                [((3, 2), 0)]):
         with pytest.raises(ValueError):
             update_wait_stats(stats, bad)
     assert stats.epoch == 1
@@ -381,3 +375,13 @@ def test_grid_states_reject_events_and_edges_off_the_grid():
     for model in (model, TrafficCost(TrafficState.on_grid(grid))):
         with pytest.raises(ValueError):
             model(grid.tails.copy(), grid.heads)
+    # A model prices only states kept on a grid.
+    for model in (TrafficCost(traffic()), AvgWaitCost(EdgeWaitStats())):
+        with pytest.raises(ValueError):
+            model(grid.tails, grid.heads)
+    # On an open row, tail -1 would wrap round to the last cell, the tail
+    # of edge (2, 1); it is no cell, so it matches no edge.
+    row = GridMap(3, 1, [True] * 3)
+    with pytest.raises(ValueError):
+        update_wait_stats(EdgeWaitStats(grid=row), [((-1, 1), 5)])
+    assert not traffic_on_grid(row, [[-1, 1]]).traversal_counts.any()

@@ -4,10 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from mapdflow.grid_map import (DistanceProvider, GridMap, MapParseError,
-                               parse_map, shortest_distances)
+from mapdflow.grid_map import DistanceProvider, GridMap, MapParseError, parse_map
 
-from conftest import bfs_components, bfs_distances, random_grid
+from conftest import bfs_components, bfs_distances, dijkstra_oracle, random_grid
 
 MAP_3X3_RING = "type octile\nheight 3\nwidth 3\nmap\n...\n.@.\n...\n"
 
@@ -113,46 +112,46 @@ def test_neighbors_blocked_cell_is_usage_error(ring3x3):
         ring3x3.neighbors(99)
 
 
+def cost_array(grid, costs):
+    """The ``(tail, head) -> cost`` dict ``costs`` as one array over edge ids."""
+    return np.array([costs[e] for e in grid.directed_edges()])
+
+
 def test_shortest_distances_open_grid_corner(open3x3):
-    dist = shortest_distances(open3x3, 0)
-    assert dist[8] == 4.0
-    assert dist[0] == 0.0
+    provider = DistanceProvider(open3x3)
+    assert provider.distance(0, 8) == 4.0
+    assert provider.distance(0, 0) == 0.0
 
 
 def test_shortest_distances_detour_matches_bfs_oracle():
     # 4x4 with a wall through the middle forcing a detour
     text = "type octile\nheight 4\nwidth 4\nmap\n....\n@@@.\n....\n....\n"
     grid = parse_map(text)
-    dist = shortest_distances(grid, 0)
+    table = DistanceProvider(grid).table(0).tolist()
     oracle = bfs_distances(grid, 0)
-    assert dist == {v: float(d) for v, d in oracle.items()}
-    assert dist[12] == 9.0  # across the top, down the right side, and back
-
-
-def test_shortest_distances_targets_early_exit(open3x3):
-    dist = shortest_distances(open3x3, 0, targets={1, 3})
-    assert dist[1] == 1.0 and dist[3] == 1.0
+    assert {v: d for v, d in enumerate(table) if d < math.inf} == oracle
+    assert table[12] == 9.0  # across the top, down the right side, and back
 
 
 def test_shortest_distances_unreachable_absent():
+    # An unreachable cell has no finite distance and no path.
     grid = parse_map("type octile\nheight 1\nwidth 3\nmap\n.@.\n")
-    dist = shortest_distances(grid, 0)
-    assert 2 not in dist
+    provider = DistanceProvider(grid)
+    assert provider.distance(2, 0) == math.inf
+    assert provider.shortest_path(2, 0) is None
 
 
 def test_shortest_distances_weighted_matches_oracle():
-    from conftest import dijkstra_oracle
     rng = random.Random(11)
     for _ in range(15):
         grid = random_grid(rng, 6, 6)
         costs = {(u, v): 1.0 + 3.0 * rng.random() for u, v in grid.directed_edges()}
-        cost_fn = lambda u, v: costs[(u, v)]
+        provider = DistanceProvider(grid, cost_array(grid, costs))
         src = rng.choice(grid.free_cells)
-        got = shortest_distances(grid, src, cost_fn)
-        want = dijkstra_oracle(grid, src, cost_fn)
-        assert got.keys() == want.keys()
-        for v in got:
-            assert got[v] == pytest.approx(want[v], abs=1e-12)
+        want = dijkstra_oracle(grid, src, lambda u, v: costs[(u, v)])
+        for v in grid.free_cells:
+            assert provider.distance(src, v) == pytest.approx(
+                want.get(v, math.inf), abs=1e-12)
 
 
 def test_unit_distance_symmetry_and_triangle():
@@ -161,18 +160,17 @@ def test_unit_distance_symmetry_and_triangle():
         grid = random_grid(rng, 7, 7)
         cells = grid.free_cells
         a, b, c = (rng.choice(cells) for _ in range(3))
-        da = shortest_distances(grid, a)
-        db = shortest_distances(grid, b)
-        if b in da:
-            assert da[b] == db[a]
-            if c in da and c in db:
-                assert da[c] <= da[b] + db[c] + 1e-12
+        d = DistanceProvider(grid).distance
+        if d(a, b) < math.inf:
+            assert d(a, b) == d(b, a)
+            if d(a, c) < math.inf:
+                assert d(a, c) <= d(a, b) + d(b, c) + 1e-12
 
 
 def test_open_map_unit_distance_is_manhattan():
     grid = GridMap(8, 6, [True] * 48)
-    dist = shortest_distances(grid, grid.index(2, 3))
-    for v, d in dist.items():
+    table = DistanceProvider(grid).table(grid.index(2, 3))
+    for v, d in enumerate(table.tolist()):
         x, y = grid.coords(v)
         assert d == abs(x - 2) + abs(y - 3)
 
@@ -181,13 +179,12 @@ def test_distance_provider_matches_forward_search_with_directed_costs():
     rng = random.Random(21)
     grid = random_grid(rng, 6, 6)
     costs = {(u, v): float(rng.randint(1, 4)) for u, v in grid.directed_edges()}
-    cost_fn = lambda u, v: costs[(u, v)]
-    provider = DistanceProvider(grid, cost_fn)
+    provider = DistanceProvider(grid, cost_array(grid, costs))
     cells = grid.free_cells
     for _ in range(10):
         goal = rng.choice(cells)
         src = rng.choice(cells)
-        fwd = shortest_distances(grid, src, cost_fn)
+        fwd = dijkstra_oracle(grid, src, lambda u, v: costs[(u, v)])
         assert provider.distance(src, goal) == pytest.approx(
             fwd.get(goal, math.inf), abs=1e-12)
 
@@ -201,7 +198,7 @@ def test_distance_provider_path_descends_table():
         src, goal = rng.choice(cells), rng.choice(cells)
         path = provider.shortest_path(src, goal)
         if path is None:
-            assert goal not in shortest_distances(grid, src)
+            assert goal not in bfs_distances(grid, src)
             continue
         assert path[0] == src and path[-1] == goal
         assert len(path) - 1 == provider.distance(src, goal)
@@ -241,13 +238,16 @@ def test_edge_ids_follow_directed_edges_order():
 
 def test_edge_ids_of_cell_pairs_match_edge_order():
     # Every ordered pair of cells, on maps one column or one row wide too,
-    # where a step of +-1 is vertical or wraps to the next row.
+    # where a step of +-1 is vertical or wraps to the next row. The cells
+    # -1 and width * height just off the map are paired too: on the open
+    # row, tail -1 would wrap round to edge (2, 1).
     rng = random.Random(42)
-    for width, height in ((7, 5), (1, 6), (6, 1), (2, 3)):
-        grid = random_grid(rng, width, height, 0.2)
+    for width, height, obstacle in ((7, 5, 0.2), (1, 6, 0.2), (6, 1, 0.2),
+                                    (2, 3, 0.2), (3, 1, 0.0)):
+        grid = random_grid(rng, width, height, obstacle)
         want = {e: i for i, e in enumerate(edge_order_oracle(grid))}
-        size = width * height
-        tails, heads = np.divmod(np.arange(size * size), size)
+        cells = np.arange(-1, width * height + 1)
+        tails, heads = np.repeat(cells, len(cells)), np.tile(cells, len(cells))
         ids = grid.edge_ids(tails, heads)
         assert ids.tolist() == [want.get((u, v), -1) for u, v in
                                 zip(tails.tolist(), heads.tolist())]
@@ -276,35 +276,43 @@ def test_component_labels_match_bfs_oracle():
 
 
 def test_edge_costs_unit_callable_and_array():
-    from mapdflow.cost_models import UnitCost
     rng = random.Random(43)
     grid = random_grid(rng, 5, 5)
     m = grid.num_directed_edges()
     assert (grid.edge_costs(None) == 1.0).all() and grid.edge_costs().shape == (m,)
-    assert (grid.edge_costs(UnitCost()) == 1.0).all()
     costs = {e: 1.0 + rng.random() for e in grid.directed_edges()}
-    arr = grid.edge_costs(lambda v, u: costs[(v, u)])
+    arr = grid.edge_costs(lambda tails, heads: [
+        costs[e] for e in zip(tails.tolist(), heads.tolist())])
     assert arr.dtype == np.float64
     assert arr.tolist() == [costs[e] for e in grid.directed_edges()]
     assert grid.edge_costs(arr) is arr
 
 
 def test_edge_costs_evaluates_callable_once_per_edge():
+    # One call prices every edge once, in edge-id order, over the map's
+    # own edge arrays.
     grid = GridMap(3, 3, [True] * 9)
     calls = []
-    grid.edge_costs(lambda v, u: calls.append((v, u)) or 1.0)
-    assert calls == list(grid.directed_edges())
+
+    def model(tails, heads):
+        calls.append((tails, heads))
+        return np.ones(len(tails))
+
+    grid.edge_costs(model)
+    assert len(calls) == 1
+    assert calls[0][0] is grid.tails and calls[0][1] is grid.heads
+    assert list(zip(*(a.tolist() for a in calls[0]))) == list(grid.directed_edges())
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
 def test_edge_costs_rejects_negative_or_non_finite(bad):
     grid = GridMap(3, 3, [True] * 9)
-    last = list(grid.directed_edges())[-1]
-    cost_fn = lambda v, u: bad if (v, u) == last else 1.0
+    last_bad = np.ones(grid.num_directed_edges())
+    last_bad[-1] = bad
     with pytest.raises(ValueError):
-        grid.edge_costs(cost_fn)
+        grid.edge_costs(lambda tails, heads: last_bad)
     with pytest.raises(ValueError):
-        DistanceProvider(grid, cost_fn)
+        DistanceProvider(grid, last_bad)
     arr = np.ones(grid.num_directed_edges())
     arr[3] = bad
     with pytest.raises(ValueError):
@@ -323,12 +331,12 @@ def test_distance_provider_array_costs_match_callable():
         grid = random_grid(rng, 6, 6)
         costs = {e: 1.0 + 3.0 * rng.random() for e in grid.directed_edges()}
         cost_fn = lambda v, u: costs[(v, u)]
-        by_fn = DistanceProvider(grid, cost_fn)
-        by_arr = DistanceProvider(grid, grid.edge_costs(cost_fn))
+        by_fn = DistanceProvider(grid, lambda tails, heads: cost_array(grid, costs))
+        by_arr = DistanceProvider(grid, cost_array(grid, costs))
         for goal in rng.sample(grid.free_cells, 3):
             assert (by_fn.table(goal) == by_arr.table(goal)).all()
             for src in grid.free_cells:
-                want = shortest_distances(grid, src, cost_fn).get(goal, math.inf)
+                want = dijkstra_oracle(grid, src, cost_fn).get(goal, math.inf)
                 assert by_arr.distance(src, goal) == pytest.approx(want, abs=1e-12)
                 path = by_arr.shortest_path(src, goal)
                 assert (path is None) == (want == math.inf)

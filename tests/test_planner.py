@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapdflow.grid_map import GridMap, parse_map, shortest_distances
+from mapdflow.grid_map import GridMap, parse_map
 from mapdflow.mapgen import random_map, warehouse_map
-from mapdflow.planner import (GuideHeuristic, build_guide_heuristic,
-                              pibt_step, update_priorities)
+from mapdflow.planner import GuideHeuristic, pibt_step, update_priorities
 from mapdflow.simulator import SimConfig, Simulation
 
-from conftest import random_grid
+from conftest import bfs_distances, random_grid
 
 
 def verify_step(old, new, grid):
@@ -28,43 +27,38 @@ def verify_step(old, new, grid):
 # -- guide heuristic -----------------------------------------------------------
 
 def test_heuristic_goal_is_zero(open3x3):
-    h = build_guide_heuristic(open3x3, [0, 1, 2])
+    h = GuideHeuristic(open3x3, 2)
     assert h.value(2) == 0
 
 
 def test_heuristic_on_path_remaining_length():
     grid = GridMap(4, 1, [True] * 4)
-    h = build_guide_heuristic(grid, [0, 1, 2, 3])
+    h = GuideHeuristic(grid, 3)   # the goal of path [0, 1, 2, 3]
     assert h.value(0) == 3
     assert h.value(1) == 2
     assert h.value(3) == 0
 
 
 def test_heuristic_off_path_detour(open3x3):
-    # path along the top row; the cell below the middle is 1 + value(middle)
-    path = [0, 1, 2]
-    h = build_guide_heuristic(open3x3, path)
+    # goal at the end of the top row [0, 1, 2]; the cell below the middle
+    # is 1 + value(middle)
+    h = GuideHeuristic(open3x3, 2)
     assert h.value(4) == 1 + h.value(1)
     assert h.value(6) == 2 + h.value(0)
 
 
 def test_heuristic_unreachable_cell_inf():
     grid = parse_map("type octile\nheight 1\nwidth 3\nmap\n.@.\n")
-    h = build_guide_heuristic(grid, [0])
+    h = GuideHeuristic(grid, 0)
     assert h.value(2) == float("inf")
 
 
 @pytest.mark.parametrize("cell", [-1, 9], ids=["before", "after"])
 def test_heuristic_off_map_cell_inf(open3x3, cell):
     # Cells -1 and width * height lie just outside the map's cell range.
-    h = build_guide_heuristic(open3x3, [4])
+    h = GuideHeuristic(open3x3, 4)
     assert h.value(cell) == float("inf")
     assert h.value(0) == 2
-
-
-def test_heuristic_empty_path_rejected(open3x3):
-    with pytest.raises(ValueError):
-        GuideHeuristic(open3x3, [])
 
 
 @pytest.mark.parametrize("goal", [-1, 9, 4], ids=["before", "after", "blocked"])
@@ -73,13 +67,13 @@ def test_heuristic_rejects_goal_off_map_or_blocked(goal):
     # blocked centre of a 3x3 ring.
     grid = parse_map("type octile\nheight 3\nwidth 3\nmap\n...\n.@.\n...\n")
     with pytest.raises(ValueError, match="goal"):
-        GuideHeuristic(grid, [goal])
+        GuideHeuristic(grid, goal)
 
 
 def test_heuristic_value_types_around_goal():
     # Columns 0-2 and column 4 are two components; column 3 is blocked.
     grid = parse_map("type octile\nheight 2\nwidth 5\nmap\n...@.\n...@.\n")
-    h = GuideHeuristic(grid, [0])
+    h = GuideHeuristic(grid, 0)
     reachable = {0: 0.0, 1: 1.0, 2: 2.0, 5: 1.0, 6: 2.0, 7: 3.0}
     unreachable = [3, 8, 4, 9, -1, 10]   # blocked, other component, off map
 
@@ -107,7 +101,7 @@ def test_fields_leave_the_unit_graph_unchanged(monkeypatch):
 
         monkeypatch.setattr(grid, "adjacency", no_second_graph)
         for goal in grid.free_cells:
-            h = GuideHeuristic(grid, [goal])
+            h = GuideHeuristic(grid, goal)
             for c in range(-1, grid.width * grid.height + 1):
                 h.value(c)
         if grid.labels:   # station weights read the unit graph too
@@ -150,7 +144,7 @@ def grids_paths_and_query_orders(draw):
 def test_heuristic_matches_multi_source_oracle(case):
     grid, path, order_a, order_b = case
     last = len(path) - 1
-    tables = {c: shortest_distances(grid, c) for c in set(path)}
+    tables = {c: bfs_distances(grid, c) for c in set(path)}
     expected = {}
     for c in range(grid.width * grid.height):
         expected[c] = min((tables[p][c] + last - i for i, p in enumerate(path)
@@ -158,8 +152,8 @@ def test_heuristic_matches_multi_source_oracle(case):
     # Two heuristics on one path, queried in different orders with the
     # queries interleaved, so each resumes its search from a different
     # point; both must give exactly the oracle's values.
-    h_a = GuideHeuristic(grid, path)
-    h_b = GuideHeuristic(grid, path)
+    h_a = GuideHeuristic(grid, path[-1])
+    h_b = GuideHeuristic(grid, path[-1])
     for ca, cb in zip(order_a, order_b):
         assert h_a.value(ca) == expected[ca]
         assert h_b.value(cb) == expected[cb]
@@ -173,17 +167,10 @@ def test_heuristic_is_unit_distance_to_goal(case):
     # Along a path of stays and unit moves, no path cell is closer to the
     # goal by detour than its remaining path length, so only the goal counts.
     grid, path, order_a, _ = case
-    goal_dist = shortest_distances(grid, path[-1])
-    h = GuideHeuristic(grid, path)
+    goal_dist = bfs_distances(grid, path[-1])
+    h = GuideHeuristic(grid, path[-1])
     for c in order_a:
         assert h.value(c) == goal_dist.get(c, float("inf"))
-
-
-@pytest.mark.parametrize("path", [[0, 2], [0, 4], [1, 1, 7]],
-                         ids=["jump", "diagonal", "after-stay"])
-def test_heuristic_rejects_non_unit_step(open3x3, path):
-    with pytest.raises(ValueError, match="4-neighbour"):
-        GuideHeuristic(open3x3, path)
 
 
 # -- priorities ------------------------------------------------------------------
@@ -229,7 +216,7 @@ def step_agents(grid, locations, heuristics, priorities):
 
 def test_single_agent_walks_guide_path():
     grid = GridMap(5, 1, [True] * 5)
-    h = build_guide_heuristic(grid, [0, 1, 2, 3, 4])
+    h = GuideHeuristic(grid, 4)
     locs = [0]
     pr = update_priorities([0.0], [False], [True])
     locs = step_agents(grid, locs, [h], pr)
@@ -242,12 +229,9 @@ def test_single_agent_reaches_goal_in_heuristic_steps():
         grid = random_grid(rng, 6, 6)
         cells = grid.free_cells
         start, goal = rng.choice(cells), rng.choice(cells)
-        dist = shortest_distances(grid, start)
-        if goal not in dist:
+        if goal not in bfs_distances(grid, start):
             continue
-        from mapdflow.grid_map import DistanceProvider
-        path = DistanceProvider(grid).shortest_path(start, goal)
-        h = build_guide_heuristic(grid, path)
+        h = GuideHeuristic(grid, goal)
         expected = h.value(start)
         locs = [start]
         pr = update_priorities([0.0], [False], [True])
@@ -263,16 +247,16 @@ def test_fully_blocked_agent_waits():
     grid = parse_map("type octile\nheight 1\nwidth 3\nmap\n...\n")
     # agent 0 wants to move right but agents occupy every exit and have
     # conflicting goals; the boxed-in middle agent with lowest priority waits
-    h0 = build_guide_heuristic(grid, [1, 0])
-    h1 = build_guide_heuristic(grid, [0, 1])
-    h2 = build_guide_heuristic(grid, [2, 1])
+    h0 = GuideHeuristic(grid, 0)
+    h1 = GuideHeuristic(grid, 1)
+    h2 = GuideHeuristic(grid, 1)
     locs = [1, 0, 2]
     new = step_agents(grid, locs, [h0, h1, h2], [3.0, 2.0, 1.0])
     assert new[0] == 1  # everyone wants its neighbors' cells; no swap allowed
 
 
 def test_agent_at_goal_stays(open3x3):
-    h = build_guide_heuristic(open3x3, [4])
+    h = GuideHeuristic(open3x3, 4)
     new = step_agents(open3x3, [4], [h], [1.0])
     assert new == [4]
 
@@ -285,7 +269,7 @@ def test_idle_agent_prefers_wait(open3x3):
 def test_idle_agent_is_pushed_out_of_the_way():
     grid = GridMap(3, 1, [True] * 3)
     # active agent at 0 heads to 2; idle agent sits at 1 and must be pushed
-    h = build_guide_heuristic(grid, [0, 1, 2])
+    h = GuideHeuristic(grid, 2)
     locs = [0, 1]
     pr = [2.0, 0.1]
     locs = step_agents(grid, locs, [h, None], pr)
@@ -300,8 +284,8 @@ def test_head_on_corridor_with_pocket_no_swap():
     grid = parse_map(text)
     a_path = [grid.index(x, 0) for x in range(5)]
     b_path = list(reversed(a_path))
-    ha = build_guide_heuristic(grid, a_path)
-    hb = build_guide_heuristic(grid, b_path)
+    ha = GuideHeuristic(grid, a_path[-1])
+    hb = GuideHeuristic(grid, b_path[-1])
     locs = [a_path[0], b_path[0]]
     goals = [a_path[-1], b_path[-1]]
     pocket = grid.index(2, 1)
@@ -319,9 +303,8 @@ def test_head_on_corridor_with_pocket_no_swap():
 
 def test_head_on_ring_both_reach_goals(ring3x3):
     # on a biconnected map, PIBT resolves the head-on pair completely
-    provider_path = [0, 1, 2, 5, 8]
-    ha = build_guide_heuristic(ring3x3, provider_path)
-    hb = build_guide_heuristic(ring3x3, list(reversed(provider_path)))
+    ha = GuideHeuristic(ring3x3, 8)
+    hb = GuideHeuristic(ring3x3, 0)
     locs = [0, 8]
     goals = [8, 0]
     pr = update_priorities([0.0, 0.0], [False, False], [True, True])
@@ -341,12 +324,9 @@ def test_pibt_determinism():
     n = 12
     starts = rng.sample(cells, n)
     goals = rng.sample(cells, n)
-    from mapdflow.grid_map import DistanceProvider
-    provider = DistanceProvider(grid)
-    heuristics = []
-    for s, g in zip(starts, goals):
-        path = provider.shortest_path(s, g)
-        heuristics.append(build_guide_heuristic(grid, path) if path else None)
+    heuristics = [GuideHeuristic(grid, g)
+                  if grid.component[s] == grid.component[g] else None
+                  for s, g in zip(starts, goals)]
     pr = update_priorities([0.0] * n, [False] * n,
                            [h is not None for h in heuristics])
     a = pibt_step(grid, list(starts), heuristics, pr)
@@ -365,8 +345,6 @@ def test_crowded_map_many_steps_no_collisions():
     cells = grid.free_cells
     n = min(30, len(cells) // 2)
     locs = rng.sample(cells, n)
-    from mapdflow.grid_map import DistanceProvider
-    provider = DistanceProvider(grid)
     heuristics = [None] * n
     goals = [None] * n
     pr = update_priorities([0.0] * n, [False] * n, [False] * n)
@@ -374,9 +352,8 @@ def test_crowded_map_many_steps_no_collisions():
         for i in range(n):
             if goals[i] is None or locs[i] == goals[i]:
                 goals[i] = rng.choice(cells)
-                path = provider.shortest_path(locs[i], goals[i])
-                heuristics[i] = (build_guide_heuristic(grid, path)
-                                 if path else None)
+                reachable = grid.component[locs[i]] == grid.component[goals[i]]
+                heuristics[i] = GuideHeuristic(grid, goals[i]) if reachable else None
         locs = step_agents(grid, locs, heuristics, pr)
         pr = update_priorities(
             pr, [locs[i] == goals[i] for i in range(n)],

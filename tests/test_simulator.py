@@ -37,6 +37,13 @@ def test_config_validation():
             bad.validate()
 
 
+def test_step_budget_must_be_nonnegative():
+    # A zero budget is valid: every step with any planning times out.
+    SimConfig(step_budget=0.0).validate()
+    with pytest.raises(ValueError, match="nonnegative"):
+        SimConfig(step_budget=-0.5).validate()
+
+
 def test_two_step_pickup_delivery():
     # agent next to the pickup, delivery next to the pickup: delivered at
     # the end of the second step

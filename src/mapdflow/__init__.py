@@ -11,7 +11,7 @@ from .cost_models import (AvgWaitCost, EdgeWaitStats, TrafficCost,
 from .grid_map import DistanceProvider, GridMap, MapParseError, parse_map
 from .mapgen import random_map, warehouse_map
 from .mincost_flow import (FlowInfeasibleError, FlowNetwork, FlowSolution,
-                           max_flow_value, solve_min_cost_flow, to_dimacs)
+                           solve_min_cost_flow, to_dimacs)
 from .planner import ActionStep, GuideHeuristic, pibt_step, update_priorities
 from .simulator import SimConfig, SimMetrics, Simulation, StepRecord, run
 
@@ -25,7 +25,7 @@ __all__ = [
     "contraflow", "fcost", "pcost", "update_wait_stats", "vertex_congestion",
     "DistanceProvider", "GridMap", "MapParseError", "parse_map",
     "random_map", "warehouse_map",
-    "FlowInfeasibleError", "FlowNetwork", "FlowSolution", "max_flow_value",
+    "FlowInfeasibleError", "FlowNetwork", "FlowSolution",
     "solve_min_cost_flow", "to_dimacs",
     "ActionStep", "GuideHeuristic", "pibt_step", "update_priorities",
     "SimConfig", "SimMetrics", "Simulation", "StepRecord", "run",

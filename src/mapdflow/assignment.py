@@ -177,40 +177,38 @@ def linear_assignment(agents: list[Agent], tasks: list[Task], grid: GridMap,
 
 @dataclass
 class GridFlowNetwork:
-    """A flow network embedded in a grid map, with the bookkeeping needed
-    to trace unit flows back into per-agent guide paths."""
+    """A flow network over a grid map, with the bookkeeping needed to trace
+    unit flows back into per-agent guide paths.
+
+    Node ``c`` is the map's cell ``c``, blocked cells included (they have no
+    arcs); the source and sink are nodes ``width * height`` and the next.
+    """
 
     network: FlowNetwork
-    grid: GridMap
-    node_of_cell: list[int]
-    cell_of_node: list[int]
     source_edges: dict[int, int]                    # agent id -> edge id
-    sink_edges: dict[int, list[tuple[int, int]]]    # node -> [(task id, edge id)]
-    walk_edges: list[list[int]]     # node -> interior edge ids by ascending head
+    sink_edges: dict[int, list[tuple[int, int]]]    # cell -> [(task id, edge id)]
+    walk_edges: list[list[int]]     # cell -> interior edge ids by ascending head
 
 
 class FlowNetworkBuilder:
     """Reusable per-map constructor for assignment flow networks.
 
-    The interior of the network (one node per free cell, one arc per
-    traversable directed edge, arc ids equal to the grid's edge ids) is
-    fixed by the map, so its residual arcs are laid out once, as the
-    shared prefix of every network built; each build only takes the edge
-    costs and appends the per-instance source and sink arcs.
+    The interior of the network (one node per cell, numbered by cell id,
+    one arc per traversable directed edge, arc ids equal to the grid's edge
+    ids) is fixed by the map, so its residual arcs are laid out once, as
+    the shared prefix of every network built; each build only takes the
+    edge costs and appends the per-instance source and sink arcs.
     """
 
     def __init__(self, grid: GridMap):
         self.grid = grid
-        node = np.full(grid.width * grid.height, -1)
-        node[grid.free_cells] = np.arange(grid.num_free)
-        self.node_of_cell = node.tolist()
-        self.cell_of_node = list(grid.free_cells)
-        self.layout = ArcLayout(grid.num_free, node[grid.tails], node[grid.heads])
-        # Retrieval walks each node's edges by ascending head cell.
-        key = grid.tails.astype(np.int64) * (grid.width * grid.height) + grid.heads
+        size = grid.width * grid.height
+        self.layout = ArcLayout(size, grid.tails, grid.heads)
+        # Retrieval walks each cell's edges by ascending head cell.
+        key = grid.tails.astype(np.int64) * size + grid.heads
         order = np.argsort(key).tolist()   # keys are unique
         ptr = grid.indptr.tolist()
-        self.walk_edges = [order[ptr[v]:ptr[v + 1]] for v in self.cell_of_node]
+        self.walk_edges = [order[ptr[v]:ptr[v + 1]] for v in range(size)]
 
     def build(self, agents: list[Agent], tasks: list[Task],
               edge_cost: EdgeCost | None = None) -> GridFlowNetwork:
@@ -228,21 +226,18 @@ class FlowNetworkBuilder:
             if not grid.is_free(task.pickup):
                 raise ValueError(f"task {task.id} pickup cell is blocked")
 
-        n_free = len(self.cell_of_node)
-        source, sink = n_free, n_free + 1
-        net = FlowNetwork(num_nodes=n_free + 2, source=source, sink=sink,
+        source, sink = self.layout.num_nodes, self.layout.num_nodes + 1
+        net = FlowNetwork(num_nodes=sink + 1, source=source, sink=sink,
                           layout=self.layout,
                           layout_costs=grid.edge_costs(edge_cost))
 
         source_edges: dict[int, int] = {}
         for agent in sorted(agents, key=lambda a: a.id):
-            e = net.add_edge(source, self.node_of_cell[agent.location], 1, 0.0)
-            source_edges[agent.id] = e
+            source_edges[agent.id] = net.add_edge(source, agent.location, 1, 0.0)
         sink_edges: dict[int, list[tuple[int, int]]] = {}
         for task in sorted(tasks, key=lambda t: t.id):
-            node = self.node_of_cell[task.pickup]
-            e = net.add_edge(node, sink, 1, 0.0)
-            sink_edges.setdefault(node, []).append((task.id, e))
+            e = net.add_edge(task.pickup, sink, 1, 0.0)
+            sink_edges.setdefault(task.pickup, []).append((task.id, e))
 
         # The max feasible flow is min(agents, tasks) summed per connected
         # component: inside a component every agent reaches every pickup.
@@ -252,10 +247,8 @@ class FlowNetworkBuilder:
         per_comp_tasks = np.bincount(
             comp[[t.pickup for t in tasks]], minlength=n_comp)
         net.required_flow = int(np.minimum(per_comp_agents, per_comp_tasks).sum())
-        return GridFlowNetwork(
-            network=net, grid=grid, node_of_cell=self.node_of_cell,
-            cell_of_node=self.cell_of_node, source_edges=source_edges,
-            sink_edges=sink_edges, walk_edges=self.walk_edges)
+        return GridFlowNetwork(network=net, source_edges=source_edges,
+                               sink_edges=sink_edges, walk_edges=self.walk_edges)
 
 
 def build_flow_network(grid: GridMap, agents: list[Agent], tasks: list[Task],
@@ -270,12 +263,12 @@ def retrieve_assignments(solution: FlowSolution, net: GridFlowNetwork,
 
     Agents are processed in ascending id order. Each walk starts at the
     agent's cell, consumes one unit of flow per traversed edge, and stops
-    at the first node whose sink edge still carries flow; that task (and
+    at the first cell whose sink edge still carries flow; that task (and
     its sink-edge unit) is assigned to the agent. Agents whose source edge
     carries no flow stay unassigned.
     """
     flow = list(solution.flow)
-    arc_head, cell_of_node = net.network.layout.arc_head, net.cell_of_node
+    arc_head = net.network.layout.arc_head
     pairs: dict[int, int] = {}
     guide_paths: dict[int, list[int]] = {}
     max_steps = net.network.num_nodes + 1
@@ -284,8 +277,8 @@ def retrieve_assignments(solution: FlowSolution, net: GridFlowNetwork,
         if flow[src_edge] <= 0:
             continue
         flow[src_edge] -= 1
-        v = net.node_of_cell[agent.location]
-        path = [agent.location]
+        v = agent.location
+        path = [v]
         for _ in range(max_steps):
             task_here = None
             for task_id, e in net.sink_edges.get(v, ()):
@@ -302,12 +295,12 @@ def retrieve_assignments(solution: FlowSolution, net: GridFlowNetwork,
                 if flow[e] > 0:
                     flow[e] -= 1
                     v = arc_head[2 * e]
-                    path.append(cell_of_node[v])
+                    path.append(v)
                     moved = True
                     break
             if not moved:
                 raise RuntimeError(
-                    f"flow walk for agent {agent.id} stranded at node {v}; "
+                    f"flow walk for agent {agent.id} stranded at cell {v}; "
                     "solution violates flow conservation")
         else:
             raise RuntimeError(

@@ -80,20 +80,17 @@ class TrafficState:
         list object than at the last call is recounted (slots past the end
         of ``paths`` hold None), so a counted path must not change in
         place. A step between non-adjacent cells counts as an entry only.
+        A path that steps from or to a cell off the map raises
+        ``ValueError`` and changes nothing.
         """
         counted = self._counted
         paths = list(paths) + [None] * (len(counted) - len(paths))
-        counted += [None] * (len(paths) - len(counted))
-        gone, new = [], []
-        for i, path in enumerate(paths):
-            if path is not counted[i]:
-                if counted[i]:
-                    gone.append(counted[i])
-                if path:
-                    new.append(path)
-                counted[i] = path
-        self._add(gone, -1)
-        self._add(new, 1)
+        old = counted + [None] * (len(paths) - len(counted))
+        changed = [(path, was) for path, was in zip(paths, old) if path is not was]
+        # New paths first: a cell off the map raises before any count changes.
+        self._add([path for path, _ in changed if path], 1)
+        self._add([was for _, was in changed if was], -1)
+        self._counted = paths
 
     def _add(self, paths: list[list[int]], sign: int) -> None:
         paths = [p for p in paths if len(p) > 1]
@@ -101,6 +98,9 @@ class TrafficState:
             return
         tails = np.fromiter(chain.from_iterable(p[:-1] for p in paths), dtype=np.int64)
         heads = np.fromiter(chain.from_iterable(p[1:] for p in paths), dtype=np.int64)
+        size = len(self.entry_counts)
+        if min(tails.min(), heads.min()) < 0 or max(tails.max(), heads.max()) >= size:
+            raise ValueError("path cell off the map")
         np.add.at(self.entry_counts, heads, sign)
         ids = self.grid.edge_ids(tails, heads)
         np.add.at(self.traversal_counts, ids[ids >= 0], sign)

@@ -7,6 +7,9 @@ shortest augmenting paths as possible along zero-reduced-cost arcs before
 re-running Dijkstra. Phase count is governed by the number of distinct
 shortest-path lengths rather than the flow value, which keeps solve times
 dominated by network size on spatial networks with many unit supplies.
+When a phase's Dijkstra no longer reaches the sink, no augmenting path is
+left, so the flow sent so far is a maximum flow (max-flow/min-cut); if it
+falls short of the required value, :class:`FlowInfeasibleError` reports it.
 
 A network may share a prefix of uncapacitated edges, an :class:`ArcLayout`,
 with other networks: the residual arcs of those edges (heads, and each
@@ -219,68 +222,6 @@ class FlowSolution:
 def _effective_caps(net: FlowNetwork) -> list[int]:
     bound = net.required_flow
     return [cap if cap is not None else bound for cap in net.capacities]
-
-
-def max_flow_value(net: FlowNetwork) -> int:
-    """Maximum feasible source-to-sink flow value (Dinic's algorithm)."""
-    n = net.num_nodes
-    caps = _effective_caps(net)
-    to: list[int] = []
-    res: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for e, (u, v) in enumerate(zip(net.tails, net.heads)):
-        adj[u].append(len(to))
-        to.append(v)
-        res.append(caps[e])
-        adj[v].append(len(to))
-        to.append(u)
-        res.append(0)
-
-    s, t = net.source, net.sink
-    total = 0
-    while True:
-        level = [-1] * n
-        level[s] = 0
-        queue = [s]
-        for v in queue:
-            for a in adj[v]:
-                u = to[a]
-                if res[a] > 0 and level[u] < 0:
-                    level[u] = level[v] + 1
-                    queue.append(u)
-        if level[t] < 0:
-            return total
-        it = [0] * n
-        # Blocking-flow DFS with current-arc pointers.
-        path: list[int] = []
-        v = s
-        while True:
-            if v == t:
-                pushed = min(res[a] for a in path)
-                for a in path:
-                    res[a] -= pushed
-                    res[a ^ 1] += pushed
-                total += pushed
-                v = s
-                path = []
-                continue
-            advanced = False
-            while it[v] < len(adj[v]):
-                a = adj[v][it[v]]
-                u = to[a]
-                if res[a] > 0 and level[u] == level[v] + 1:
-                    path.append(a)
-                    v = u
-                    advanced = True
-                    break
-                it[v] += 1
-            if not advanced:
-                if v == s:
-                    break
-                level[v] = -1  # dead end for this blocking flow
-                a = path.pop()
-                v = to[a ^ 1]
-                it[v] += 1
 
 
 class _PrimalDualSolver:
@@ -514,7 +455,7 @@ class _PrimalDualSolver:
         while sent < required:
             finalized, final_dist, d_sink = self._dijkstra()
             if d_sink == _INF:
-                raise FlowInfeasibleError(required, max_flow_value(self.net))
+                raise FlowInfeasibleError(required, sent)
             self._update_potentials(finalized, final_dist, d_sink)
             pushed = self._augment_phase(required - sent)
             if pushed == 0:
@@ -540,7 +481,8 @@ def solve_min_cost_flow(net: FlowNetwork) -> FlowSolution:
 
     Raises:
         FlowInfeasibleError: If the required value exceeds the maximum
-            feasible flow; the error carries the feasible maximum.
+            feasible flow; the error carries that maximum, the flow sent
+            when no augmenting path was left.
     """
     if net.required_flow == 0:
         return FlowSolution(flow=[0] * net.num_edges, value=0, total_cost=0.0)

@@ -80,6 +80,8 @@ class SimConfig:
             raise ValueError("horizon must be nonnegative")
         if self.step_budget is not None and self.step_budget < 0:
             raise ValueError("step budget must be nonnegative when enabled")
+        if self.task_budget is not None and self.task_budget < 0:
+            raise ValueError("task_budget must be nonnegative")
         if self.task_distribution not in TASK_DISTRIBUTIONS:
             raise ValueError(f"unknown task distribution {self.task_distribution!r}")
 
@@ -98,8 +100,6 @@ class SimMetrics:
     throughput: int = 0
     makespan: int | None = None
     timeout_count: int = 0
-    vertex_collisions: int = 0
-    edge_swaps: int = 0
     total_assignment_cost: float = 0.0
     steps: list[StepRecord] = field(default_factory=list)
 
@@ -356,7 +356,6 @@ class Simulation:
                 raise RuntimeError(
                     f"illegal move of agent {i} from {a} to {b} at step {self.step_idx}")
         if len(set(new)) != len(new):
-            self.metrics.vertex_collisions += 1
             raise RuntimeError(f"vertex collision at step {self.step_idx}: {new}")
         cell_owner = {c: i for i, c in enumerate(old)}
         for i, (a, b) in enumerate(zip(old, new)):
@@ -364,7 +363,6 @@ class Simulation:
                 continue
             j = cell_owner.get(b)
             if j is not None and j != i and new[j] == a:
-                self.metrics.edge_swaps += 1
                 raise RuntimeError(
                     f"edge swap between agents {i} and {j} at step {self.step_idx}")
 

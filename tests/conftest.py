@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the library's own algorithms: grid
 distances come from a plain BFS, assignment optima from permutation
-enumeration, and flow optima from brute force over multisets of simple
-source-sink paths.
+enumeration, flow optima from brute force over multisets of simple
+source-sink paths, and maximum flow values from networkx.
 """
 
 import itertools
@@ -141,6 +141,21 @@ def flow_cost_oracle(net: FlowNetwork, required: int):
             if best is None or cost < best:
                 best = cost
     return best
+
+
+def max_flow_oracle(net: FlowNetwork) -> int:
+    """Maximum flow value by networkx, with the capacities of parallel edges
+    summed and an unbounded edge read as carrying ``required_flow``."""
+    import networkx as nx
+    g = nx.DiGraph()
+    g.add_nodes_from(range(net.num_nodes))
+    for u, v, cap in zip(net.tails, net.heads, net.capacities):
+        cap = net.required_flow if cap is None else cap
+        if g.has_edge(u, v):
+            g[u][v]["capacity"] += cap
+        else:
+            g.add_edge(u, v, capacity=cap)
+    return nx.maximum_flow_value(g, net.source, net.sink)
 
 
 def residual_has_negative_cycle(net: FlowNetwork, flow, tol=1e-9):

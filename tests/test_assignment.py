@@ -246,9 +246,8 @@ def test_retrieve_crossing_flows_consume_everything():
     interior = {}
     for e in range(gnet.network.num_edges):
         u, v = gnet.network.tails[e], gnet.network.heads[e]
-        if u < len(gnet.cell_of_node) and v < len(gnet.cell_of_node):
-            key = (gnet.cell_of_node[u], gnet.cell_of_node[v])
-            interior[key] = interior.get(key, 0) + sol.flow[e]
+        if u < grid.width * grid.height and v < grid.width * grid.height:
+            interior[(u, v)] = interior.get((u, v), 0) + sol.flow[e]
     assert used == {k: v for k, v in interior.items() if v}
 
 

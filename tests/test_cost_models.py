@@ -384,4 +384,16 @@ def test_grid_states_reject_events_and_edges_off_the_grid():
     row = GridMap(3, 1, [True] * 3)
     with pytest.raises(ValueError):
         update_wait_stats(EdgeWaitStats(grid=row), [((-1, 1), 5)])
-    assert not traffic_on_grid(row, [[-1, 1]]).traversal_counts.any()
+    # A path with a cell off the map raises before it changes the counts or
+    # the counted paths: head -1 would wrap round to cell 2, head 3 is past
+    # the end, and tail -1 is no cell either.
+    ts = traffic_on_grid(row, [[0, 1]])
+    entries, traversals = ts.entry_counts.copy(), ts.traversal_counts.copy()
+    for bad in ([[1, -1]], [[1, 3]], [None, [-1, 1]]):
+        with pytest.raises(ValueError):
+            ts.set_paths(bad)
+        assert ts.entry_counts.tolist() == entries.tolist() == [0, 1, 0]
+        assert ts.traversal_counts.tolist() == traversals.tolist()
+        assert ts._counted == [[0, 1]]
+    ts.set_paths([])
+    assert not ts.entry_counts.any() and not ts.traversal_counts.any()

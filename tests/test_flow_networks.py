@@ -2,7 +2,8 @@
 
 - Full-size builder networks (random64 and the warehouse map, 50 to 800
   agents, unit and integer traffic costs, and a map split into components)
-  against ``networkx.network_simplex`` as an independent oracle.
+  against ``networkx.network_simplex`` for the cost and
+  ``networkx.maximum_flow_value`` for the value, as independent oracles.
 - The builder's shared per-map layout against the same edges added one by
   one to a plain network, on rounds recorded from real simulations.
 - Property tests of ``flow_assign`` on small random grids, and a fuzz of
@@ -30,9 +31,9 @@ from mapdflow.cost_models import (AvgWaitCost, EdgeWaitStats, TrafficCost,
                                   TrafficState, update_wait_stats)
 from mapdflow.grid_map import GridMap
 from mapdflow.mincost_flow import (ArcLayout, FlowInfeasibleError, FlowNetwork,
-                                   max_flow_value, solve_min_cost_flow)
+                                   solve_min_cost_flow)
 
-from conftest import residual_has_negative_cycle
+from conftest import max_flow_oracle, residual_has_negative_cycle
 
 MAPS = Path(__file__).resolve().parent.parent / "maps"
 
@@ -136,7 +137,7 @@ def test_builder_network_matches_network_simplex(case):
     model = random_walk_traffic(rng, grid, n_agents, 30) if cost == "traffic" else None
     net = build_flow_network(grid, agents, tasks, model).network
     sol = solve_min_cost_flow(net)
-    assert sol.value == net.required_flow == max_flow_value(net) == n_agents
+    assert sol.value == net.required_flow == max_flow_oracle(net) == n_agents
     assert_feasible_flow(net, sol)
     assert sol.total_cost == network_simplex_cost(net)
 
@@ -148,7 +149,7 @@ def test_split_map_required_flow_is_max_flow():
     # min(8, 3) on the left plus min(2, 6) on the right; the island has no task
     assert net.required_flow == 5 < min(len(agents), len(tasks))
     sol = solve_min_cost_flow(net)
-    assert sol.value == net.required_flow == max_flow_value(net)
+    assert sol.value == net.required_flow == max_flow_oracle(net)
     assert_feasible_flow(net, sol)
     assert sol.total_cost == network_simplex_cost(net)
     aset = flow_assign(grid, agents, tasks)

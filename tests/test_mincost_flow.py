@@ -4,10 +4,9 @@ import random
 import pytest
 
 from mapdflow.mincost_flow import (FlowInfeasibleError, FlowNetwork,
-                                   max_flow_value, solve_min_cost_flow,
-                                   to_dimacs)
+                                   solve_min_cost_flow, to_dimacs)
 
-from conftest import (flow_cost_oracle, random_flow_network,
+from conftest import (flow_cost_oracle, max_flow_oracle, random_flow_network,
                       residual_has_negative_cycle)
 
 
@@ -18,17 +17,13 @@ def chain_network():
     return net
 
 
-def test_max_flow_chain():
-    assert max_flow_value(chain_network()) == 1
-
-
-def test_max_flow_isolated_source():
+def isolated_source_network():
     net = FlowNetwork(num_nodes=3, source=0, sink=2)
     net.add_edge(1, 2, 5, 0.0)
-    assert max_flow_value(net) == 0
+    return net
 
 
-def test_max_flow_two_agents_one_task():
+def two_agents_one_task_network():
     # two source edges, one unit-capacity sink edge
     net = FlowNetwork(num_nodes=5, source=0, sink=4)
     net.add_edge(0, 1, 1, 0.0)
@@ -36,8 +31,7 @@ def test_max_flow_two_agents_one_task():
     net.add_edge(1, 3, None, 1.0)
     net.add_edge(2, 3, None, 1.0)
     net.add_edge(3, 4, 1, 0.0)
-    net.required_flow = 1
-    assert max_flow_value(net) == 1
+    return net
 
 
 def test_solve_diamond_prefers_cheap_branch():
@@ -62,13 +56,18 @@ def test_solve_required_zero_is_noop():
     assert sol.value == 0
 
 
-def test_infeasible_reports_max_feasible():
-    net = chain_network()
-    net.required_flow = 3
+@pytest.mark.parametrize("make_net, required, maximum", [
+    (chain_network, 3, 1),
+    (isolated_source_network, 1, 0),
+    (two_agents_one_task_network, 2, 1),
+], ids=["chain", "isolated-source", "two-agents-one-task"])
+def test_infeasible_reports_max_feasible(make_net, required, maximum):
+    net = make_net()
+    net.required_flow = required
     with pytest.raises(FlowInfeasibleError) as err:
         solve_min_cost_flow(net)
-    assert err.value.max_feasible == 1
-    assert err.value.required == 3
+    assert err.value.max_feasible == maximum == max_flow_oracle(net)
+    assert err.value.required == required
 
 
 def _check_solution(net, sol):
@@ -98,11 +97,12 @@ def test_random_networks_match_exhaustive_oracle():
         net = random_flow_network(rng)
         if net.num_edges == 0:
             continue
-        feasible = max_flow_value(net)
         net.required_flow = rng.randint(0, 3)
+        feasible = max_flow_oracle(net)
         if net.required_flow > feasible:
-            with pytest.raises(FlowInfeasibleError):
+            with pytest.raises(FlowInfeasibleError) as err:
                 solve_min_cost_flow(net)
+            assert err.value.max_feasible == feasible
             checked += 1
             continue
         sol = solve_min_cost_flow(net)
@@ -120,7 +120,7 @@ def test_random_real_cost_networks_certificate():
         net = random_flow_network(rng, real_costs=True)
         if net.num_edges == 0:
             continue
-        feasible = max_flow_value(net)
+        feasible = max_flow_oracle(net)
         if feasible == 0:
             continue
         net.required_flow = rng.randint(1, feasible)
@@ -136,7 +136,7 @@ def test_determinism_same_insertion_order():
     rng = random.Random(17)
     for _ in range(20):
         net = random_flow_network(rng)
-        net.required_flow = min(2, max_flow_value(net))
+        net.required_flow = min(2, max_flow_oracle(net))
         first = solve_min_cost_flow(net).flow
         second = solve_min_cost_flow(net).flow
         assert first == second

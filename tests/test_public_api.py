@@ -1,7 +1,11 @@
 """The package's public surface: ``mapdflow.__all__`` and the names its
-``__init__`` imports are one list, and every listed name resolves."""
+``__init__`` imports are one list, and every listed name resolves. The
+package's modules import only the standard library, its declared
+dependencies (numpy and scipy) and the package itself, so that no test
+extra, such as networkx, reaches the library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import mapdflow
@@ -24,3 +28,19 @@ def test_every_imported_name_is_exported():
     names = imported_names()
     assert names, "the package imports nothing from its modules"
     assert sorted(names) == sorted(mapdflow.__all__)
+
+
+def test_modules_import_only_stdlib_and_declared_dependencies():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy", "mapdflow"}
+    modules = sorted(Path(mapdflow.__file__).parent.glob("*.py"))
+    assert len(modules) > 1
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            for top in tops:
+                assert top in allowed, f"{path.name} imports {top}"

@@ -44,6 +44,13 @@ def test_step_budget_must_be_nonnegative():
         SimConfig(step_budget=-0.5).validate()
 
 
+def test_task_budget_must_be_nonnegative():
+    # A zero budget is valid: the run ends after its first step.
+    SimConfig(pool_policy="per-step", task_budget=0).validate()
+    with pytest.raises(ValueError, match="task_budget must be nonnegative"):
+        SimConfig(pool_policy="per-step", task_budget=-1).validate()
+
+
 def test_two_step_pickup_delivery():
     # agent next to the pickup, delivery next to the pickup: delivered at
     # the end of the second step
@@ -200,8 +207,6 @@ def test_strategies_complete_tasks_on_warehouse():
                         task_distribution="labeled-es")
         metrics = run(grid, cfg)
         assert metrics.throughput > 0, strategy
-        assert metrics.vertex_collisions == 0
-        assert metrics.edge_swaps == 0
 
 
 def test_makespan_mode_release_schedule_lower_bound():
@@ -415,19 +420,28 @@ def test_avg_wait_costs_are_a_round_snapshot(monkeypatch, strategy):
     sim.check_invariants()
 
 
-@pytest.mark.parametrize("target", [7, 3], ids=["teleport", "into-wall"])
-def test_verify_step_rejects_illegal_move(monkeypatch, target):
+@pytest.mark.parametrize("starts, targets, match", [
+    ([2], [7], "illegal move"),
+    ([2], [3], "illegal move"),
+    ([1, 2], [2, 2], "vertex collision"),
+    ([1, 2], [2, 1], "edge swap"),
+], ids=["teleport", "into-wall", "vertex-collision", "edge-swap"])
+def test_verify_step_rejects_illegal_move(monkeypatch, starts, targets, match):
     # ...@      The agent at cell 2 may only reach 1 or 6 in one step:
     # ....      7 is free but not adjacent, 3 is adjacent but blocked.
+    #           Two agents at 1 and 2 make legal single moves that end on
+    #           one cell or swap the two cells.
     grid = parse_map("type octile\nheight 2\nwidth 4\nmap\n...@\n....\n")
-    cfg = SimConfig(num_agents=1, pool_ratio=1.0, horizon=1, seed=0)
-    sim = Simulation(grid, cfg, preset_starts=[2], preset_tasks=[(5, 4)])
+    cfg = SimConfig(num_agents=len(starts), pool_ratio=1.0, horizon=1, seed=0)
+    sim = Simulation(grid, cfg, preset_starts=starts,
+                     preset_tasks=[(5, 4), (4, 5)][:len(starts)])
 
     def illegal_step(grid, locations, heuristics, priorities):
-        return ActionStep(locations=[target], moved=[True])
+        return ActionStep(locations=list(targets),
+                          moved=[a != b for a, b in zip(starts, targets)])
 
     monkeypatch.setattr(simulator, "pibt_step", illegal_step)
-    with pytest.raises(RuntimeError, match="illegal move"):
+    with pytest.raises(RuntimeError, match=match):
         sim.step()
 
 

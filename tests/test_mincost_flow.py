@@ -56,12 +56,29 @@ def test_solve_required_zero_is_noop():
     assert sol.value == 0
 
 
+def test_max_flow_chain():
+    net = chain_network()
+    assert solve_min_cost_flow(net).value == 1
+    net.required_flow = 2
+    with pytest.raises(FlowInfeasibleError) as err:
+        solve_min_cost_flow(net)
+    assert err.value.max_feasible == 1 == max_flow_oracle(net)
+
+
+def test_infeasible_reports_max_feasible():
+    net = chain_network()
+    net.required_flow = 3
+    with pytest.raises(FlowInfeasibleError) as err:
+        solve_min_cost_flow(net)
+    assert err.value.max_feasible == 1
+    assert err.value.required == 3
+
+
 @pytest.mark.parametrize("make_net, required, maximum", [
-    (chain_network, 3, 1),
     (isolated_source_network, 1, 0),
     (two_agents_one_task_network, 2, 1),
-], ids=["chain", "isolated-source", "two-agents-one-task"])
-def test_infeasible_reports_max_feasible(make_net, required, maximum):
+], ids=["isolated-source", "two-agents-one-task"])
+def test_max_feasible_matches_oracle(make_net, required, maximum):
     net = make_net()
     net.required_flow = required
     with pytest.raises(FlowInfeasibleError) as err:

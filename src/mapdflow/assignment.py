@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from .grid_map import DistanceProvider, EdgeCost, GridMap
-from .mincost_flow import (ArcLayout, FlowNetwork, FlowSolution,
+from .mincost_flow import (UNBOUNDED, ArcLayout, FlowNetwork, FlowSolution,
                            solve_min_cost_flow)
 
 
@@ -182,12 +183,28 @@ class GridFlowNetwork:
 
     Node ``c`` is the map's cell ``c``, blocked cells included (they have no
     arcs); the source and sink are nodes ``width * height`` and the next.
+    Each free cell has one edge into the sink, whose capacity is the number
+    of pooled tasks picked up there; the network's own edges are the source
+    edges, one per agent.
     """
 
     network: FlowNetwork
-    source_edges: dict[int, int]                    # agent id -> edge id
-    sink_edges: dict[int, list[tuple[int, int]]]    # cell -> [(task id, edge id)]
+    source_edges: dict[int, int]    # agent id -> edge id
+    sink_edges: list[int]           # cell -> its sink edge id (-1 if blocked)
+    task_cells: list[int]           # the tasks' pickup cells, ascending
+    task_ids: list[int]             # their ids, by pickup cell, then id
     walk_edges: list[list[int]]     # cell -> interior edge ids by ascending head
+
+
+def _first_repeat(ids: list[int]) -> int | None:
+    """The first id of ``ids`` seen before, or None if all are distinct."""
+    if len(set(ids)) == len(ids):
+        return None
+    seen: set[int] = set()
+    for i in ids:
+        if i in seen:
+            return i
+        seen.add(i)
 
 
 class FlowNetworkBuilder:
@@ -195,15 +212,29 @@ class FlowNetworkBuilder:
 
     The interior of the network (one node per cell, numbered by cell id,
     one arc per traversable directed edge, arc ids equal to the grid's edge
-    ids) is fixed by the map, so its residual arcs are laid out once, as
-    the shared prefix of every network built; each build only takes the
-    edge costs and appends the per-instance source and sink arcs.
+    ids) and one zero-cost edge from each free cell into the sink, in cell
+    order, are fixed by the map. So their residual arcs are laid out once,
+    as the shared prefix of every network built. Each build only takes the
+    edge costs, sets each sink edge's capacity to the number of tasks
+    picked up at its cell, and appends one source edge per agent.
     """
 
     def __init__(self, grid: GridMap):
         self.grid = grid
         size = grid.width * grid.height
-        self.layout = ArcLayout(size, grid.tails, grid.heads)
+        free = np.asarray(grid.free_cells, dtype=np.int64)
+        m = len(grid.tails)
+        self.layout = ArcLayout(
+            size + 2, np.concatenate([grid.tails, free]),
+            np.concatenate([grid.heads, np.full(len(free), size + 1)]))
+        self._free = free
+        self._free_mask = np.zeros(size, dtype=bool)
+        self._free_mask[free] = True
+        self._grid_caps = np.full(m, UNBOUNDED, dtype=np.int64)
+        self._sink_costs = np.zeros(len(free))
+        sink_edges = np.full(size, -1, dtype=np.int64)
+        sink_edges[free] = m + np.arange(len(free))
+        self.sink_edges = sink_edges.tolist()
         # Retrieval walks each cell's edges by ascending head cell.
         key = grid.tails.astype(np.int64) * size + grid.heads
         order = np.argsort(key).tolist()   # keys are unique
@@ -213,6 +244,11 @@ class FlowNetworkBuilder:
     def build(self, agents: list[Agent], tasks: list[Task],
               edge_cost: EdgeCost | None = None) -> GridFlowNetwork:
         grid = self.grid
+        task_ids = [t.id for t in tasks]
+        for kind, ids in (("agent", [a.id for a in agents]), ("task", task_ids)):
+            repeat = _first_repeat(ids)
+            if repeat is not None:
+                raise ValueError(f"{kind} id {repeat} appears twice")
         seen_cells: set[int] = set()
         for agent in agents:
             if agent.is_delivering:
@@ -222,33 +258,39 @@ class FlowNetworkBuilder:
             seen_cells.add(agent.location)
             if not grid.is_free(agent.location):
                 raise ValueError(f"agent {agent.id} is on a blocked cell")
-        for task in tasks:
-            if not grid.is_free(task.pickup):
-                raise ValueError(f"task {task.id} pickup cell is blocked")
+        size = grid.width * grid.height
+        pickups = np.array([t.pickup for t in tasks], dtype=np.int64)
+        on_map = (pickups >= 0) & (pickups < size)
+        blocked = ~on_map
+        blocked[on_map] = ~self._free_mask[pickups[on_map]]
+        if blocked.any():
+            raise ValueError(
+                f"task {tasks[int(np.argmax(blocked))].id} pickup cell is blocked")
 
-        source, sink = self.layout.num_nodes, self.layout.num_nodes + 1
-        net = FlowNetwork(num_nodes=sink + 1, source=source, sink=sink,
-                          layout=self.layout,
-                          layout_costs=grid.edge_costs(edge_cost))
-
+        source, sink = size, size + 1
+        counts = np.bincount(pickups, minlength=size)
+        net = FlowNetwork(
+            num_nodes=sink + 1, source=source, sink=sink, layout=self.layout,
+            layout_costs=np.concatenate([grid.edge_costs(edge_cost), self._sink_costs]),
+            layout_caps=np.concatenate([self._grid_caps, counts[self._free]]))
         source_edges: dict[int, int] = {}
         for agent in sorted(agents, key=lambda a: a.id):
             source_edges[agent.id] = net.add_edge(source, agent.location, 1, 0.0)
-        sink_edges: dict[int, list[tuple[int, int]]] = {}
-        for task in sorted(tasks, key=lambda t: t.id):
-            e = net.add_edge(task.pickup, sink, 1, 0.0)
-            sink_edges.setdefault(task.pickup, []).append((task.id, e))
+        # Retrieval hands out a cell's tasks by id.
+        ids = np.array(task_ids, dtype=np.int64)
+        order = np.lexsort((ids, pickups))
 
         # The max feasible flow is min(agents, tasks) summed per connected
         # component: inside a component every agent reaches every pickup.
         comp, n_comp = grid.component, int(grid.component.max()) + 1
         per_comp_agents = np.bincount(
             comp[[a.location for a in agents]], minlength=n_comp)
-        per_comp_tasks = np.bincount(
-            comp[[t.pickup for t in tasks]], minlength=n_comp)
+        per_comp_tasks = np.bincount(comp[pickups], minlength=n_comp)
         net.required_flow = int(np.minimum(per_comp_agents, per_comp_tasks).sum())
-        return GridFlowNetwork(network=net, source_edges=source_edges,
-                               sink_edges=sink_edges, walk_edges=self.walk_edges)
+        return GridFlowNetwork(
+            network=net, source_edges=source_edges, sink_edges=self.sink_edges,
+            task_cells=pickups[order].tolist(), task_ids=ids[order].tolist(),
+            walk_edges=self.walk_edges)
 
 
 def build_flow_network(grid: GridMap, agents: list[Agent], tasks: list[Task],
@@ -262,43 +304,41 @@ def retrieve_assignments(solution: FlowSolution, net: GridFlowNetwork,
     """Decompose a solved flow into per-agent tasks and guide paths.
 
     Agents are processed in ascending id order. Each walk starts at the
-    agent's cell, consumes one unit of flow per traversed edge, and stops
-    at the first cell whose sink edge still carries flow; that task (and
-    its sink-edge unit) is assigned to the agent. Agents whose source edge
-    carries no flow stay unassigned.
+    agent's cell, takes one unit of flow per traversed edge, and stops at
+    the first cell whose sink edge still carries a unit no walk has taken.
+    The ``k`` units on a cell's sink edge stand for its ``k`` lowest task
+    ids, handed out in that order. Agents whose source edge carries no flow
+    stay unassigned.
     """
-    flow = list(solution.flow)
+    flow = solution.flow
+    used: dict[int, int] = {}    # edge id -> units the walks have taken
     arc_head = net.network.layout.arc_head
+    sink_edges, walk_edges = net.sink_edges, net.walk_edges
+    task_cells, task_ids = net.task_cells, net.task_ids
     pairs: dict[int, int] = {}
     guide_paths: dict[int, list[int]] = {}
     max_steps = net.network.num_nodes + 1
     for agent in sorted(agents, key=lambda a: a.id):
-        src_edge = net.source_edges[agent.id]
-        if flow[src_edge] <= 0:
+        if flow[net.source_edges[agent.id]] <= 0:
             continue
-        flow[src_edge] -= 1
         v = agent.location
         path = [v]
         for _ in range(max_steps):
-            task_here = None
-            for task_id, e in net.sink_edges.get(v, ()):
-                if flow[e] > 0:
-                    task_here = (task_id, e)
-                    break
-            if task_here is not None:
-                flow[task_here[1]] -= 1
-                pairs[agent.id] = task_here[0]
+            e = sink_edges[v]
+            k = used.get(e, 0)
+            if flow[e] > k:
+                used[e] = k + 1
+                pairs[agent.id] = task_ids[bisect_left(task_cells, v) + k]
                 guide_paths[agent.id] = path
                 break
-            moved = False
-            for e in net.walk_edges[v]:
-                if flow[e] > 0:
-                    flow[e] -= 1
+            for e in walk_edges[v]:
+                k = used.get(e, 0)
+                if flow[e] > k:
+                    used[e] = k + 1
                     v = arc_head[2 * e]
                     path.append(v)
-                    moved = True
                     break
-            if not moved:
+            else:
                 raise RuntimeError(
                     f"flow walk for agent {agent.id} stranded at cell {v}; "
                     "solution violates flow conservation")

@@ -155,14 +155,26 @@ class EdgeWaitStats:
             m = grid.num_directed_edges()
             self.w, self.n = np.zeros(m), np.zeros(m)
             self.stamp = np.zeros(m, dtype=np.int64)
+            # gamma ** k for k = 0, 1, ...; once it holds a power that no
+            # later one differs from (1.0 at gamma 1, else the first 0.0),
+            # it is final and older ages read that last entry.
             self._powers = np.ones(1)
+            self._final = gamma == 1.0
 
     def decay(self, ages: np.ndarray) -> np.ndarray:
         """``gamma ** age`` at each age in ``[0, epoch]``: one Python power
         per age, cached, so equal bit for bit to the per-edge reads."""
-        if len(self._powers) <= self.epoch:
+        if not self._final and len(self._powers) <= self.epoch:
             gamma = self.gamma
-            self._powers = np.array([gamma ** k for k in range(2 * self.epoch + 1)])
+            powers = []
+            for k in range(2 * self.epoch + 1):
+                powers.append(gamma ** k)
+                if powers[-1] == 0.0:
+                    self._final = True
+                    break
+            self._powers = np.array(powers)
+        if self._final:
+            ages = np.minimum(ages, len(self._powers) - 1)
         return self._powers[ages]
 
     def _current(self, table: dict, e: tuple[int, int]) -> float:

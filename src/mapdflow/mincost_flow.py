@@ -11,24 +11,28 @@ When a phase's Dijkstra no longer reaches the sink, no augmenting path is
 left, so the flow sent so far is a maximum flow (max-flow/min-cut); if it
 falls short of the required value, :class:`FlowInfeasibleError` reports it.
 
-A network may share a prefix of uncapacitated edges, an :class:`ArcLayout`,
-with other networks: the residual arcs of those edges (heads, and each
-node's arcs in the order the solver scans them) are laid out once, and a
-network only adds the costs of the prefix and its own edges. The
-assignment builder lays a map's interior out once and adds each round's
-source and sink edges; a network built only with ``add_edge`` gets an
-empty layout of its own.
+A network may share a prefix of edges, an :class:`ArcLayout`, with other
+networks: the residual arcs of those edges (heads, and each node's arcs by
+arc id) are laid out once, and a network only adds the costs and
+capacities of the prefix and its own edges. The assignment builder lays
+out a map's interior and one edge from each free cell into the sink once,
+and adds each round's source edges; a network built only with
+``add_edge`` gets an empty layout of its own.
 
 A solve borrows its layout's residual workspace and restores what it
-changed before it returns or raises: it rewrites arc costs only where they
-differ from the last solve's, and resets only the arcs it pushed flow
-along and the arc lists of the nodes its own edges touch. The per-node
-scratch (potentials and each phase's arrays) lives in the workspace too
-and is reset only where a solve touched it, and the largest layout cost,
-which sets the float slack, is kept with the layout costs. So after the
-layout is built, a round costs what its searches touch, not the size of
-the map. Solves on one layout run one at a time; a second solve while
-one holds the workspace raises.
+changed before it returns or raises: it rewrites arc costs and residuals
+only where the costs and capacities differ from the last solve's, and
+resets only the arcs it pushed flow along and the scan lists it changed.
+A node's scan list holds the arcs both searches read: its forward arcs
+that have capacity, and the reverse arcs that ended a phase of this solve
+with residual capacity, inserted in arc-id order. So an arc that can carry
+no flow, such as a zero-capacity sink edge, costs nothing to scan. The
+per-node scratch (potentials and each phase's arrays) lives in the
+workspace too and is reset only where a solve touched it, and the largest
+layout cost, which sets the float slack, is kept with the layout costs.
+So after the layout is built, a round costs what its searches touch, not
+the size of the map. Solves on one layout run one at a time; a second
+solve while one holds the workspace raises.
 
 Costs may be arbitrary nonnegative reals; no cost scaling is used. Flow
 amounts are exact integers whenever all capacities are integers.
@@ -39,16 +43,18 @@ from __future__ import annotations
 import math
 import sys
 import threading
+from bisect import insort
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappush, heappop
 
 import numpy as np
 
 _INF = float("inf")
-# Residual of an uncapacitated layout arc. It never binds: flow on an edge
-# is at most what was sent, so a push, capped at what is still to send,
-# never exhausts it.
-_UNBOUNDED = sys.maxsize
+# The layout capacity of an unbounded edge, and the residual of its forward
+# arc. It never binds: flow on an edge is at most what was sent, so a push,
+# capped at what is still to send, never exhausts it.
+UNBOUNDED = sys.maxsize
 
 
 class FlowInfeasibleError(RuntimeError):
@@ -62,20 +68,24 @@ class FlowInfeasibleError(RuntimeError):
 
 
 class ArcLayout:
-    """Residual arcs of a fixed set of uncapacitated edges, laid out once.
+    """Residual arcs of a fixed set of edges, laid out once.
 
     Edge ``e`` has forward arc ``2e`` (tail to head) and reverse arc
     ``2e + 1``. ``arc_head[a]`` is the head of arc ``a``, and ``adj[v]``
-    lists the arcs leaving node ``v`` by ascending arc id, the order in
-    which the solver scans them. Both are read-only once built.
+    lists the arcs leaving node ``v`` by ascending arc id. Both are
+    read-only once built.
 
     The layout also owns the residual workspace that every solve of a
     network on it borrows: arc heads, residuals and costs of the layout
-    arcs, as lists, each node's arc list, and per-node solver scratch. A
-    solve appends its network's own arcs, updates the costs only where they
-    differ from the last solve's, and before it returns or raises truncates
-    its own arcs and resets the residuals, arc lists and scratch it
-    changed. So one layout serves any number of solves, one at a time.
+    arcs, as lists, the capacities and costs they were loaded with, each
+    node's scan list, and per-node solver scratch. A scan list is ``adj``
+    less its reverse arcs and its forward arcs of zero loaded capacity; a
+    solve inserts reverse arcs as they gain residual capacity. A solve
+    loads costs and capacities only where they differ from the last
+    solve's and appends its network's own arcs. Before it returns or
+    raises it truncates its own arcs and resets the residuals, scan lists
+    and scratch it changed. So one layout serves any number of solves, one
+    at a time.
     """
 
     def __init__(self, num_nodes: int, tails, heads):
@@ -84,36 +94,72 @@ class ArcLayout:
         if tails.shape != heads.shape or tails.ndim != 1:
             raise ValueError("tails and heads must be equal-length 1-d arrays")
         m = len(tails)
-        arc_tail = np.empty(2 * m, dtype=np.int64)
-        arc_tail[0::2] = tails
-        arc_tail[1::2] = heads
-        if m and not (0 <= arc_tail.min() and arc_tail.max() < num_nodes):
+        if m and not (0 <= min(tails.min(), heads.min())
+                      and max(tails.max(), heads.max()) < num_nodes):
             raise ValueError("layout edge endpoint out of range")
         arc_head = np.empty(2 * m, dtype=np.int64)
         arc_head[0::2] = heads
         arc_head[1::2] = tails
-        # by tail, then arc id; the keys are unique, so any sort is stable
-        order = np.argsort(arc_tail * (2 * m) + np.arange(2 * m)).tolist()
-        ptr = [0] + np.cumsum(np.bincount(arc_tail, minlength=num_nodes)).tolist()
         self.num_nodes = num_nodes
         self.num_edges = m
         self.arc_head: list[int] = arc_head.tolist()
-        self.adj: list[list[int]] = [order[ptr[v]:ptr[v + 1]] for v in range(num_nodes)]
-        # The workspace, as no solve has changed it: no flow, zero costs.
+        # The workspace, as no solve has changed it: no flow, zero costs,
+        # every edge unbounded.
         self._head = list(self.arc_head)
-        self._res = [_UNBOUNDED, 0] * m
+        self._res = [UNBOUNDED, 0] * m
         self._edge_costs = np.zeros(m)      # the costs ``_cost`` holds
         self._cost = [0.0, -0.0] * m
+        # the capacities the forward residuals of ``_res`` were loaded with
+        self._edge_caps = np.full(m, UNBOUNDED, dtype=np.int64)
         # The largest of ``_edge_costs`` (-inf if there are none) and
         # whether all are integers.
         self._max_cost = 0.0 if m else -_INF
         self._integral = True
-        # Each node's arcs as a solve scans them: ``adj`` with the network's
-        # own arcs appended. Nodes past the layout's (a network's source
-        # and sink) are added by the first solve that has them.
-        self._adj = list(self.adj)
+        # Each node's scan list, as loaded: its forward arcs by arc id.
+        # Nodes past the layout's are added by the first solve that has them.
+        forward = (2 * np.argsort(tails, kind="stable")).tolist()
+        ptr = [0] + np.cumsum(np.bincount(tails, minlength=num_nodes)).tolist()
+        self._adj = [forward[ptr[v]:ptr[v + 1]] for v in range(num_nodes)]
         self._drop_scratch()
         self._busy = threading.Lock()      # held by the solve using the workspace
+
+    @cached_property
+    def adj(self) -> list[list[int]]:
+        """Each node's arcs by arc id, built on first read: no solve reads
+        it, since a scan list holds only arcs that can carry flow."""
+        # the tail of arc a is the head of arc a ^ 1
+        arc_tail = np.array(self.arc_head, dtype=np.int64).reshape(-1, 2)[:, ::-1].ravel()
+        order = np.argsort(arc_tail, kind="stable").tolist()
+        ptr = [0] + np.cumsum(np.bincount(arc_tail, minlength=self.num_nodes)).tolist()
+        return [order[ptr[v]:ptr[v + 1]] for v in range(self.num_nodes)]
+
+    def _load(self, costs: np.ndarray, caps: np.ndarray) -> None:
+        """Load edge costs and capacities where they differ from the loaded
+        ones. The workspace must hold no flow."""
+        cost = self._cost
+        old = self._edge_costs
+        # bit patterns, so that a flip between 0.0 and -0.0 counts too
+        changed = np.flatnonzero(costs.view(np.int64) != old.view(np.int64))
+        if len(changed):
+            for e, c in zip(changed.tolist(), costs[changed].tolist()):
+                cost[2 * e] = c
+                cost[2 * e + 1] = -c
+            old[changed] = costs[changed]
+            self._max_cost = float(old.max())
+            self._integral = bool(np.equal(np.floor(old), old).all())
+        old = self._edge_caps
+        changed = np.flatnonzero(caps != old)
+        if len(changed):
+            res, adj, head = self._res, self._adj, self.arc_head
+            for e, c, was in zip(changed.tolist(), caps[changed].tolist(),
+                                 old[changed].tolist()):
+                a = 2 * e
+                res[a] = c
+                if not c:       # the arc leaves its tail's scan list
+                    adj[head[a + 1]].remove(a)
+                elif not was:   # or enters it
+                    insort(adj[head[a + 1]], a)
+            old[changed] = caps[changed]
 
     def _drop_scratch(self) -> None:
         """Forget the per-node scratch; the next solve allocates it anew."""
@@ -146,10 +192,12 @@ class FlowNetwork:
     solve time by the largest amount the network could be asked to carry
     (the required flow value), which no single edge ever needs to exceed.
 
-    Edges ``0 .. layout.num_edges - 1`` are the shared prefix: unbounded,
-    with costs ``layout_costs``. Edges added with :meth:`add_edge` follow.
-    ``tails``, ``heads``, ``capacities`` and ``costs`` read every edge as
-    a new list.
+    Edges ``0 .. layout.num_edges - 1`` are the shared prefix, with costs
+    ``layout_costs`` and capacities ``layout_caps``: one int64 array over
+    the layout edges, in which :data:`UNBOUNDED` marks an unbounded edge;
+    by default every layout edge is unbounded. Edges added with
+    :meth:`add_edge` follow. ``tails``, ``heads``, ``capacities`` and
+    ``costs`` read every edge as a new list.
     """
 
     num_nodes: int
@@ -158,6 +206,7 @@ class FlowNetwork:
     required_flow: int = 0
     layout: ArcLayout = field(default_factory=lambda: ArcLayout(0, [], []))
     layout_costs: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    layout_caps: np.ndarray | None = None
     _tails: list[int] = field(default_factory=list, init=False, repr=False)
     _heads: list[int] = field(default_factory=list, init=False, repr=False)
     _caps: list[int | None] = field(default_factory=list, init=False, repr=False)
@@ -172,9 +221,18 @@ class FlowNetwork:
             raise ValueError("required flow must be nonnegative")
         if self.layout.num_nodes > self.num_nodes:
             raise ValueError("layout has more nodes than the network")
+        m = self.layout.num_edges
         self.layout_costs = np.asarray(self.layout_costs, dtype=np.float64)
-        if self.layout_costs.shape != (self.layout.num_edges,):
+        if self.layout_costs.shape != (m,):
             raise ValueError("layout costs must give one cost per layout edge")
+        if self.layout_caps is None:
+            self.layout_caps = np.full(m, UNBOUNDED, dtype=np.int64)
+        caps = np.asarray(self.layout_caps)
+        if caps.shape != (m,) or (m and caps.dtype.kind not in "iu"):
+            raise ValueError("layout capacities must give one integer per layout edge")
+        if m and caps.min() < 0:
+            raise ValueError("capacity must be nonnegative")
+        self.layout_caps = caps.astype(np.int64, copy=False)
 
     @property
     def num_edges(self) -> int:
@@ -190,7 +248,8 @@ class FlowNetwork:
 
     @property
     def capacities(self) -> list[int | None]:
-        return [None] * self.layout.num_edges + self._caps
+        return [None if c == UNBOUNDED else c
+                for c in self.layout_caps.tolist()] + self._caps
 
     @property
     def costs(self) -> list[float]:
@@ -228,9 +287,8 @@ class _PrimalDualSolver:
     """One-shot solver state over a paired-arc residual representation.
 
     Arc ``2e`` is edge ``e`` forward, arc ``2e + 1`` its reverse. The
-    arc lists are the layout's workspace, with the network's own edges
-    appended, each after the layout arcs of its tail node, which keeps
-    every node's arcs in ascending arc id order. So are the per-node
+    arcs are the layout's workspace, with the network's own edges appended.
+    So are the scan lists, each in ascending arc id order, and the per-node
     scratch lists, which a solve finds clear and leaves clear.
     """
 
@@ -243,22 +301,23 @@ class _PrimalDualSolver:
         self.touched: set[int] = set()
         self.phase_res: dict[int, int] = {}
         self.priced: set[int] = set()   # nodes whose potential a phase moved
-        self.own_arcs: dict[int, list[int]] = {}   # node -> its own arcs
+        # The loaded scan list of each node whose list this solve copied,
+        # and the reverse arcs it inserted into the copies.
+        self.saved: dict[int, list[int]] = {}
+        self.listed: set[int] = set()
+
+    def _copied_list(self, v: int) -> list[int]:
+        """Node ``v``'s scan list, copied at this solve's first change to it."""
+        if v in self.saved:
+            return self.adj[v]
+        self.saved[v] = self.adj[v]
+        arcs = self.adj[v] = list(self.adj[v])
+        return arcs
 
     def _borrow(self):
         """Load the network into the layout's workspace."""
         net, layout = self.net, self.layout
-        cost = layout._cost
-        new, old = net.layout_costs, layout._edge_costs
-        # bit patterns, so that a flip between 0.0 and -0.0 counts too
-        changed = np.flatnonzero(new.view(np.int64) != old.view(np.int64))
-        if len(changed):
-            for e, c in zip(changed.tolist(), new[changed].tolist()):
-                cost[2 * e] = c
-                cost[2 * e + 1] = -c
-            old[changed] = new[changed]
-            layout._max_cost = float(old.max())
-            layout._integral = bool(np.equal(np.floor(old), old).all())
+        layout._load(net.layout_costs, net.layout_caps)
         # Integer costs need no float slack; otherwise it scales with the
         # largest cost of the network.
         own = net._costs
@@ -271,26 +330,23 @@ class _PrimalDualSolver:
         layout._grow(self.n)
         self.pi, self.dist, self.done = layout._pi, layout._dist, layout._done
         self.it, self.dead, self.on_path = layout._it, layout._dead, layout._on_path
-        adj, head, res = layout._adj, layout._head, layout._res
+        self.adj, self.head, self.res, self.cost = (
+            layout._adj, layout._head, layout._res, layout._cost)
         tails, heads, k = net._tails, net._heads, len(own)
-        a = len(head)
+        a = len(self.head)
         pair = [0] * (2 * k)    # own edge i as its arcs a + 2i and a + 2i + 1
         pair[0::2], pair[1::2] = heads, tails
-        head += pair
+        self.head += pair
         bound = net.required_flow
-        pair[0::2] = [bound if cap is None else cap for cap in net._caps]
-        pair[1::2] = [0] * k
-        res += pair
+        caps = [bound if cap is None else cap for cap in net._caps]
+        pair[0::2], pair[1::2] = caps, [0] * k
+        self.res += pair
         pair[0::2], pair[1::2] = own, [-c for c in own]
-        cost += pair
-        own_arcs = self.own_arcs
-        for u, v in zip(tails, heads):
-            own_arcs.setdefault(u, []).append(a)
-            own_arcs.setdefault(v, []).append(a + 1)
+        self.cost += pair
+        for u, cap in zip(tails, caps):
+            if cap:
+                self._copied_list(u).append(a)
             a += 2
-        for v, arcs in own_arcs.items():
-            adj[v] = adj[v] + arcs
-        self.adj, self.head, self.res, self.cost = adj, head, res, cost
 
     def _restore(self, clean: bool):
         """Leave the workspace as :meth:`_borrow` found it. After a solve
@@ -300,12 +356,17 @@ class _PrimalDualSolver:
         del layout._head[base:], layout._res[base:], layout._cost[base:]
         res = layout._res
         self.touched.update(self.phase_res)    # a phase cut short by an error
+        # A push changes both arcs of an edge, so each touched edge's reverse
+        # arc is touched; its residual is the flow to hand back.
         for a in self.touched:
-            if a < base:
-                res[a] = 0 if a & 1 else _UNBOUNDED
-        adj, n_layout = layout._adj, layout.num_nodes
-        for v in self.own_arcs:
-            adj[v] = layout.adj[v] if v < n_layout else []
+            if a & 1 and a < base:
+                f = res[a]
+                if f:
+                    res[a - 1] += f
+                    res[a] = 0
+        adj = layout._adj
+        for v, arcs in self.saved.items():
+            adj[v] = arcs
         if not clean:
             layout._drop_scratch()
             return
@@ -314,26 +375,38 @@ class _PrimalDualSolver:
             pi[v] = 0.0
 
     def _dijkstra(self) -> tuple[list[int], list[float], float]:
-        """The nodes finalized up to the sink (the sink last), their
-        reduced-cost distances from the source, and the sink's distance."""
+        """The nodes at distance at most the sink's, their reduced-cost
+        distances from the source, and the sink's distance.
+
+        A node reached at no extra reduced cost from one being finalized is
+        final at the same distance, so it is expanded from a stack rather
+        than queued. The sink is finalized but never expanded.
+        """
         s, t = self.net.source, self.net.sink
         dist, done = self.dist, self.done
-        finalized: list[int] = []
-        final_dist: list[float] = []
-        dist[s] = 0.0
-        heap: list[tuple[float, int]] = [(0.0, s)]
+        finalized: list[int] = [s]
+        final_dist: list[float] = [0.0]
+        done[s] = True
+        heap: list[tuple[float, int]] = []
+        stack = [s]
+        d = 0.0
         pi, head, res, cost, adj = self.pi, self.head, self.res, self.cost, self.adj
         d_sink = _INF
-        while heap:
-            d, v = heappop(heap)
-            if done[v]:
-                continue
-            done[v] = True
-            finalized.append(v)
-            final_dist.append(d)
-            if v == t:
-                d_sink = d
-                break
+        while True:
+            if stack:
+                v = stack.pop()
+            else:
+                while heap and done[heap[0][1]]:
+                    heappop(heap)
+                if not heap or heap[0][0] > d_sink:
+                    break
+                d, v = heappop(heap)
+                done[v] = True
+                finalized.append(v)
+                final_dist.append(d)
+                if v == t:
+                    d_sink = d
+                    continue
             pv = pi[v] + d
             for a in adj[v]:
                 if res[a] <= 0:
@@ -342,9 +415,15 @@ class _PrimalDualSolver:
                 if done[u]:
                     continue
                 nd = cost[a] + pv - pi[u]
-                if nd < d:
-                    nd = d  # float slack; exact reduced costs are >= 0
-                if nd < dist[u]:
+                if nd <= d:   # float slack; exact reduced costs are >= 0
+                    done[u] = True
+                    finalized.append(u)
+                    final_dist.append(d)
+                    if u == t:
+                        d_sink = d
+                    else:
+                        stack.append(u)
+                elif nd < dist[u]:
                     dist[u] = nd
                     heappush(heap, (nd, u))
         # Every node given a distance was finalized or is still queued.
@@ -433,6 +512,13 @@ class _PrimalDualSolver:
             it[v] = 0
             dead[v] = False
         self.touched.update(start_res)
+        # A reverse arc that ends the phase with residual joins its tail's
+        # scan list; within the phase it was barred by its start residual.
+        listed = self.listed
+        for a in start_res:
+            if a & 1 and res[a] > 0 and a not in listed:
+                listed.add(a)
+                insort(self._copied_list(head[a ^ 1]), a)
         return sent
 
     def solve(self) -> FlowSolution:

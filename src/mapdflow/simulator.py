@@ -189,7 +189,8 @@ class Simulation:
         self.tasks: dict[int, Task] = {}
         # Released, not yet delivered, in release order (values unused).
         self.active_ids: dict[int, None] = {}
-        self._unpicked = 0   # released, not yet picked up: the task pool
+        # The task pool: released, not yet picked up, in release order.
+        self._pool: dict[int, Task] = {}
         self.next_task_id = 0
         self.released = 0
         self.delivered = 0
@@ -247,12 +248,11 @@ class Simulation:
         self.released += 1
         self.tasks[task.id] = task
         self.active_ids[task.id] = None
-        self._unpicked += 1
+        self._pool[task.id] = task
         return task
 
     def _pool_size(self) -> int:
-        # Task pool = released tasks not yet picked up.
-        return self._unpicked
+        return len(self._pool)
 
     def _release_tasks(self) -> None:
         cfg = self.config
@@ -295,13 +295,10 @@ class Simulation:
 
         if cfg.strategy == "greedy":
             available = [a for a in self.agents if a.is_free]
-            pool = [self.tasks[tid] for tid in self.active_ids
-                    if self.tasks[tid].state == TaskState.POOLED]
+            pool = [t for t in self._pool.values() if t.state is TaskState.POOLED]
             return greedy_assign(available, pool, self.provider), available
         available = [a for a in self.agents if not a.is_delivering]
-        # Active tasks are undelivered, so this keeps pooled and assigned ones.
-        pool = [self.tasks[tid] for tid in self.active_ids
-                if self.tasks[tid].state is not TaskState.PICKED_UP]
+        pool = list(self._pool.values())   # pooled and assigned tasks
         if cfg.strategy == "linear":
             return linear_assignment(available, pool, self.grid, self.edge_cost), available
         return (flow_assign(self.grid, available, pool, self.edge_cost,
@@ -441,7 +438,7 @@ class Simulation:
                             raise RuntimeError(
                                 f"agent {agent.id} cannot reach delivery cell")
                         task.state = TaskState.PICKED_UP
-                        self._unpicked -= 1
+                        del self._pool[task.id]
                         agent.carried_task = task.id
                         reached[agent.id] = True
 
@@ -480,7 +477,8 @@ class Simulation:
         for t in self.tasks.values():
             counts[t.state] += 1
         assert counts[TaskState.DELIVERED] == self.delivered
-        assert self._pool_size() == counts[TaskState.POOLED] + counts[TaskState.ASSIGNED]
+        assert list(self._pool) == [t.id for t in self.tasks.values() if t.state
+                                    in (TaskState.POOLED, TaskState.ASSIGNED)]
         assert list(self.active_ids) == [
             t.id for t in self.tasks.values() if t.state != TaskState.DELIVERED]
         assert len(self.tasks) == self.released

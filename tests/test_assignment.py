@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from mapdflow.assignment import (Agent, Task, build_flow_network, flow_assign,
+from mapdflow.assignment import (Agent, FlowNetworkBuilder, Task,
+                                 build_flow_network, flow_assign,
                                  greedy_assign, linear_assignment,
                                  retrieve_assignments)
 from mapdflow.grid_map import DistanceProvider, GridMap
@@ -149,12 +150,15 @@ def test_build_flow_network_node_edge_counts(open3x3):
     gnet = build_flow_network(open3x3, agents, tasks)
     net = gnet.network
     assert net.num_nodes == 9 + 2
-    assert net.num_edges == 24 + 1 + 1
+    assert net.num_edges == 24 + 9 + 1
     assert net.required_flow == 1
-    # source edge capacity 1, cost 0; interior edges unbounded
+    # source edge capacity 1, cost 0; interior edges unbounded; each cell's
+    # sink edge, cost 0, carries as many units as its cell has tasks
     src_edge = gnet.source_edges[0]
     assert net.capacities[src_edge] == 1 and net.costs[src_edge] == 0.0
     assert net.capacities[0] is None
+    assert net.capacities[24:33] == [0] * 8 + [1]
+    assert net.costs[24:33] == [0.0] * 9
 
 
 def test_build_flow_required_is_min_of_agents_tasks():
@@ -190,6 +194,28 @@ def test_build_flow_rejects_delivering_agent(open3x3):
     agents = [Agent(id=0, location=0, carried_task=5, assigned_task=5)]
     with pytest.raises(ValueError, match="delivering"):
         build_flow_network(open3x3, agents, [Task(id=0, pickup=1, delivery=2)])
+
+
+@pytest.mark.parametrize("agents, tasks, message", [
+    ([Agent(id=0, location=0), Agent(id=0, location=1)],
+     [Task(id=0, pickup=8, delivery=0)], "agent id 0 appears twice"),
+    ([Agent(id=0, location=0), Agent(id=1, location=1)],
+     [Task(id=3, pickup=2, delivery=0), Task(id=3, pickup=5, delivery=0)],
+     "task id 3 appears twice"),
+], ids=["agent", "task"])
+def test_build_flow_rejects_repeated_ids(open3x3, agents, tasks, message):
+    with pytest.raises(ValueError, match=message):
+        flow_assign(open3x3, agents, tasks)
+
+
+@pytest.mark.parametrize("n_tasks", [1, 50, 300])
+def test_round_edges_do_not_grow_with_the_pool(n_tasks):
+    rng = random.Random(n_tasks)
+    grid = random_grid(rng, 12, 12)
+    builder = FlowNetworkBuilder(grid)
+    agents, tasks = make_instance(rng, grid, 20, n_tasks)
+    net = builder.build(agents, tasks).network
+    assert net.num_edges == builder.layout.num_edges + len(agents)
 
 
 # -- Algorithm 1 retrieval ------------------------------------------------------
@@ -249,6 +275,19 @@ def test_retrieve_crossing_flows_consume_everything():
         if u < grid.width * grid.height and v < grid.width * grid.height:
             interior[(u, v)] = interior.get((u, v), 0) + sol.flow[e]
     assert used == {k: v for k, v in interior.items() if v}
+
+
+def test_tasks_sharing_a_pickup_go_out_by_id_in_agent_order():
+    # Three tasks wait at cell 4 and two agents come for them: the two
+    # lowest task ids go out, the lowest to the lowest agent id.
+    grid = GridMap(5, 1, [True] * 5)
+    agents = [Agent(id=3, location=0), Agent(id=1, location=1)]
+    tasks = [Task(id=7, pickup=4, delivery=0), Task(id=2, pickup=4, delivery=0),
+             Task(id=5, pickup=4, delivery=0)]
+    aset = flow_assign(grid, agents, tasks)
+    assert aset.pairs == {1: 2, 3: 5}
+    assert aset.guide_paths == {1: [1, 2, 3, 4], 3: [0, 1, 2, 3, 4]}
+    assert aset.total_cost == 7.0
 
 
 def test_retrieval_unassigned_agents_stay_unassigned():

@@ -96,6 +96,26 @@ def test_decay_k_windows_geometric():
         assert stats.traversal_count((2, 3)) == pytest.approx(gamma ** k * n0)
 
 
+@pytest.mark.parametrize("gamma", [0.9, 0.99, 1.0])
+def test_decay_table_stays_bounded_and_exact(gamma):
+    # gamma ** k is exactly 0.0 from some k on (at gamma < 1), and 1.0
+    # always at gamma 1, so the table of powers stops growing there.
+    cap = 0
+    while gamma < 1.0 and gamma ** cap != 0.0:
+        cap += 1
+    stats = EdgeWaitStats(gamma=gamma, grid=GridMap(3, 1, [True] * 3))
+    for epoch in (1, 10, cap // 2, cap + 1, 2 * cap + 5, 3 * cap + 100):
+        stats.epoch = epoch
+        ages = np.arange(epoch + 1)
+        assert stats.decay(ages).tolist() == [gamma ** k for k in range(epoch + 1)]
+        assert len(stats._powers) <= cap + 1
+    # a real update past the table's end decays by the same power
+    stats.w[0], stats.stamp[0] = 5.0, stats.epoch - cap - 3
+    stats.apply_window([((0, 1), 2)])
+    assert stats.w[0] == 5.0 * gamma ** (cap + 4) + 2.0
+    assert len(stats._powers) <= cap + 1
+
+
 def test_update_rejects_negative_wait():
     stats = EdgeWaitStats()
     with pytest.raises(ValueError):

@@ -30,8 +30,8 @@ from mapdflow.assignment import (Agent, FlowNetworkBuilder, Task,
 from mapdflow.cost_models import (AvgWaitCost, EdgeWaitStats, TrafficCost,
                                   TrafficState, update_wait_stats)
 from mapdflow.grid_map import GridMap
-from mapdflow.mincost_flow import (ArcLayout, FlowInfeasibleError, FlowNetwork,
-                                   solve_min_cost_flow)
+from mapdflow.mincost_flow import (UNBOUNDED, ArcLayout, FlowInfeasibleError,
+                                   FlowNetwork, solve_min_cost_flow)
 
 from conftest import max_flow_oracle, residual_has_negative_cycle
 
@@ -329,14 +329,28 @@ def outcome(net):
     return sol.flow, sol.value, repr(sol.total_cost)
 
 
-def assert_workspace_as_built(layout, costs):
+def loaded_scan_lists(layout, caps):
+    """Each node's scan list in a layout loaded with ``caps`` and holding no
+    flow: its forward arcs of nonzero capacity, by arc id."""
+    return [[a for a in arcs if not a & 1 and caps[a >> 1]] for arcs in layout.adj]
+
+
+def assert_workspace_as_built(layout, net=None):
     """The workspace of ``layout`` holds no flow and, bit for bit, the arc
-    costs of ``costs``, as a fresh layout loaded with them would."""
+    costs and capacities of ``net`` (of none if None), as a fresh layout
+    loaded with them would."""
     fresh = ArcLayout(layout.num_nodes, layout.arc_head[1::2], layout.arc_head[0::2])
+    m = layout.num_edges
+    if net is None:
+        costs, caps = np.zeros(m), [UNBOUNDED] * m
+    else:
+        costs, caps = net.layout_costs, net.layout_caps.tolist()
     assert layout._head == fresh._head == layout.arc_head
-    assert layout._res == fresh._res
+    assert layout._res == [x for c in caps for x in (c, 0)]
     arc_costs = [x for c in costs.tolist() for x in (c, -c)]
     assert list(map(repr, layout._cost)) == list(map(repr, arc_costs))
+    assert layout._adj[:fresh.num_nodes] == loaded_scan_lists(fresh, caps)
+    assert not any(layout._adj[fresh.num_nodes:])
     assert not layout._busy.locked()
 
 
@@ -369,13 +383,13 @@ def builder_rounds(draw):
 def test_rounds_on_one_builder_solve_like_fresh_builders(instance):
     grid, rounds = instance
     builder = FlowNetworkBuilder(grid)
-    loaded = np.zeros(len(grid.tails))
+    loaded = None
     for agents, tasks, costs in rounds:
         net = builder.build(agents, tasks, costs).network
         fresh = FlowNetworkBuilder(grid).build(agents, tasks, costs).network
         assert outcome(net) == outcome(fresh)
         if net.required_flow:    # a solve of no flow never loads the costs
-            loaded = costs
+            loaded = net
         assert_workspace_as_built(builder.layout, loaded)
 
 
@@ -388,7 +402,7 @@ def test_infeasible_solve_leaves_the_layout_as_built():
     with pytest.raises(FlowInfeasibleError) as err:
         solve_min_cost_flow(net)
     assert err.value.max_feasible == net.required_flow - 1
-    assert_workspace_as_built(builder.layout, costs)
+    assert_workspace_as_built(builder.layout, net)
     again = builder.build(agents, tasks, costs).network
     fresh = FlowNetworkBuilder(grid).build(agents, tasks, costs).network
     assert outcome(again) == outcome(fresh)
@@ -441,14 +455,14 @@ def test_a_solve_on_a_held_layout_raises(monkeypatch):
     assert isinstance(error, RuntimeError)
     assert "holds this layout's workspace" in str(error)
     assert result == expected     # the refused solve left the outer one alone
-    assert_workspace_as_built(builder.layout, grid.edge_costs(None))
+    assert_workspace_as_built(builder.layout, outer)
 
 
 def assert_scratch_clear(layout):
     """The per-node lists of ``layout``'s workspace hold no solve's marks:
-    every node scans the layout's arcs alone, and the scratch is as new."""
+    every node scans its loaded arcs alone, and the scratch is as new."""
     n = layout.num_nodes
-    assert all(arcs is base for arcs, base in zip(layout._adj, layout.adj))
+    assert layout._adj[:n] == loaded_scan_lists(layout, layout._edge_caps.tolist())
     assert not any(layout._adj[n:])
     assert all(p == 0.0 for p in layout._pi)
     assert all(d == math.inf for d in layout._dist)

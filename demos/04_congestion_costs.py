@@ -6,8 +6,10 @@ cost extra still (contraflow). The avg-wait model instead learns from
 observed waiting, with exponential decay favoring recent congestion.
 """
 
-from mapdflow import (EdgeWaitStats, TrafficState, contraflow, fcost, pcost,
-                      update_wait_stats, vertex_congestion)
+from mapdflow import (EdgeWaitStats, GridMap, TrafficState, contraflow, fcost,
+                      pcost, update_wait_stats, vertex_congestion)
+
+grid = GridMap(8, 5, [True] * 40)   # open 8x5 map: cell = 8 * row + column
 
 # Three delivering agents; two pass through cell 12, one drives against
 # the flow on edge (11, 12).
@@ -16,7 +18,8 @@ guide_paths = [
     [20, 12, 11],
     [30, 12, 13],
 ]
-ts = TrafficState.from_guide_paths(guide_paths)
+ts = TrafficState(grid)
+ts.set_paths(guide_paths)
 
 print("edge            unit  p_v2  c_e  fcost")
 for e in ((11, 12), (12, 11), (12, 13), (10, 11)):
@@ -25,7 +28,7 @@ for e in ((11, 12), (12, 11), (12, 13), (10, 11)):
           f"{fcost(e, ts):>6.0f}")
 
 print("\nexecution history with decay gamma = 0.9:")
-stats = EdgeWaitStats(gamma=0.9)
+stats = EdgeWaitStats(grid, gamma=0.9)
 update_wait_stats(stats, [((11, 12), 4), ((11, 12), 2), ((12, 13), 0)])
 print(f"  after a congested window: pcost(11->12) = {pcost((11, 12), stats):.3f}")
 for window in range(10):

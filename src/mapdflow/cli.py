@@ -37,8 +37,6 @@ class ExperimentSpec:
     def validate(self) -> None:
         if not os.path.exists(self.map_path):
             raise FileNotFoundError(f"map file not found: {self.map_path}")
-        if not self.configs and not self.bench:
-            raise ValueError("experiment matrix is empty (check --seed/--agents)")
         for config in self.configs:
             config.validate()
 
@@ -215,6 +213,9 @@ def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
+    for flag in ("agents", "strategy", "cost", "seed"):
+        if not getattr(args, flag):
+            parser.error(f"--{flag} needs at least one value")
     for strategy in args.strategy:
         if strategy not in STRATEGIES:
             parser.error(f"unknown strategy {strategy!r}")

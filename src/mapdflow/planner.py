@@ -179,6 +179,9 @@ def pibt_step(grid: GridMap, locations: list[int],
     for i in order:
         if next_loc[i] is None:
             plan(i, None)
+    # ``plan`` refers to itself through its closure; emptying that cell
+    # frees the step's heuristics now rather than at the next collection.
+    del plan
 
     new_locations = [next_loc[i] if next_loc[i] is not None else locations[i]
                      for i in range(n)]

@@ -195,10 +195,10 @@ class Simulation:
         self.released = 0
         self.delivered = 0
 
-        self.wait_stats = EdgeWaitStats(gamma=config.gamma, grid=grid)
+        self.wait_stats = EdgeWaitStats(grid, gamma=config.gamma)
         # Counts of the delivering agents' guide paths, brought up to date
         # each traffic round.
-        self.traffic = TrafficState.on_grid(grid)
+        self.traffic = TrafficState(grid)
         self.edge_cost = None   # per-edge cost array, evaluated each round
         # Distance tables have two readers: greedy's pickup costs and the
         # traffic model's delivery legs.
@@ -228,7 +228,7 @@ class Simulation:
             while True:
                 s = self._s_cells[int(self.rng.choice(len(self._s_cells),
                                                       p=self._s_weights))]
-                e = self._e_cells[int(self.rng.choice(len(self._e_cells)))]
+                e = self._e_cells[int(self.rng.integers(0, len(self._e_cells)))]
                 if self._component[s] == self._component[e]:
                     break
             # Alternate shelf->station and station->shelf traffic.
@@ -236,12 +236,12 @@ class Simulation:
         else:
             cells = self.grid.free_cells
             while True:
-                pickup = cells[int(self.rng.choice(len(cells)))]
+                pickup = cells[int(self.rng.integers(0, len(cells)))]
                 if self._comp_sizes[self._component[pickup]] >= 2:
                     break
             delivery = pickup
             while delivery == pickup or self._component[delivery] != self._component[pickup]:
-                delivery = cells[int(self.rng.choice(len(cells)))]
+                delivery = cells[int(self.rng.integers(0, len(cells)))]
         task = Task(id=self.next_task_id, pickup=pickup, delivery=delivery,
                     release_step=self.step_idx)
         self.next_task_id += 1

@@ -3,13 +3,14 @@
 The oracles here deliberately avoid the library's own algorithms: grid
 distances come from a plain BFS, assignment optima from permutation
 enumeration, flow optima from brute force over multisets of simple
-source-sink paths, and maximum flow values from networkx.
+source-sink paths, maximum flow values from networkx, and congestion
+costs from dicts counted straight from guide paths and wait events.
 """
 
 import itertools
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -192,6 +193,55 @@ def random_flow_network(rng: random.Random, max_nodes=8, max_edges=14,
         cost = 1.0 + 4.0 * rng.random() if real_costs else float(rng.randint(0, 6))
         net.add_edge(u, v, cap, cost)
     return net
+
+
+def traffic_oracle(paths):
+    """Entry counts by cell and traversal counts by ``(tail, head)`` pair,
+    counted by a plain loop over ``paths`` (a jump between non-adjacent
+    cells counts as a pair too)."""
+    entries, traversals = Counter(), Counter()
+    for path in paths:
+        entries.update(path[1:])
+        traversals.update(zip(path, path[1:]))
+    return entries, traversals
+
+
+def fcost_oracle(e, entries, traversals):
+    """Planner-estimate cost of ``e`` from :func:`traffic_oracle` counts:
+    1 + ceil((n_v - 1) / 2) at the head (0 for n_v <= 1) + contraflow."""
+    u, v = e
+    n_v = entries.get(v, 0)
+    congestion = float(math.ceil((n_v - 1) / 2)) if n_v > 1 else 0.0
+    return (1.0 + congestion
+            + float(traversals.get((u, v), 0) * traversals.get((v, u), 0)))
+
+
+class WaitOracle:
+    """Decayed wait statistics as a lazy table: ``w`` and ``n`` map an edge
+    ``(tail, head)`` to a ``(value, stamp)`` pair, read as
+    ``value * gamma ** (epoch - stamp)``; an edge never stored reads 0."""
+
+    def __init__(self, gamma):
+        self.gamma, self.epoch = gamma, 0
+        self.w, self.n = {}, {}
+
+    def read(self, table, e):
+        value, stamp = table.get(e, (0.0, self.epoch))
+        return value * self.gamma ** (self.epoch - stamp)
+
+    def apply_window(self, events):
+        per_edge = {}
+        for e, t in events:
+            total, count = per_edge.get(e, (0, 0))
+            per_edge[e] = (total + t, count + 1)
+        self.epoch += 1
+        for e, (total, count) in per_edge.items():
+            self.w[e] = (self.read(self.w, e) + total, self.epoch)
+            self.n[e] = (self.read(self.n, e) + count, self.epoch)
+
+    def pcost(self, e):
+        n = self.read(self.n, e)
+        return 1.0 if n <= 0.0 else 1.0 + self.read(self.w, e) / n
 
 
 @pytest.fixture

@@ -139,16 +139,20 @@ def test_criterion_3_retrieval_soundness(equivalence_instances):
 def test_criterion_4_cost_formulas():
     from mapdflow.cost_models import (EdgeWaitStats, TrafficState, fcost,
                                       pcost, update_wait_stats)
+    from mapdflow.grid_map import GridMap
     with criterion(4, "congestion cost formulas"):
-        ts = TrafficState(entries={2: 3}, traversals={(1, 2): 1, (2, 1): 2})
+        grid = GridMap(3, 1, [True] * 3)
+        edges = list(grid.directed_edges())
+        forward, backward = edges.index((1, 2)), edges.index((2, 1))
+        ts = TrafficState(grid)
+        ts.entry_counts[2] = 3
+        ts.traversal_counts[forward], ts.traversal_counts[backward] = 1, 2
         assert fcost((1, 2), ts) == 4.0
-        stats = EdgeWaitStats(gamma=0.9)
-        stats._w[(1, 2)] = (4.0, 0)
-        stats._n[(1, 2)] = (2.0, 0)
+        stats = EdgeWaitStats(grid, gamma=0.9)
+        stats.w[forward], stats.n[forward] = 4.0, 2.0   # written at epoch 0
         assert pcost((1, 2), stats) == 3.0
-        stats = EdgeWaitStats(gamma=0.9)
-        stats._w[(1, 2)] = (10.0, 0)
-        stats._n[(1, 2)] = (2.0, 0)
+        stats = EdgeWaitStats(grid, gamma=0.9)
+        stats.w[forward], stats.n[forward] = 10.0, 2.0
         update_wait_stats(stats, [((1, 2), 2)])
         assert stats.wait_total((1, 2)) == pytest.approx(11.0, abs=1e-12)
         assert stats.traversal_count((1, 2)) == pytest.approx(2.8, abs=1e-12)

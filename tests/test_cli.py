@@ -159,3 +159,13 @@ def test_parser_has_spec_flags():
                  "--steps", "--budget-ms", "--logical", "--seed", "--out",
                  "--trace"):
         assert flag in text
+
+
+@pytest.mark.parametrize("bench", [False, True], ids=["run", "bench"])
+@pytest.mark.parametrize("flag", ["--agents", "--strategy", "--cost", "--seed"])
+def test_empty_list_flag_is_usage_error(map_file, capsys, flag, bench):
+    argv = ["--map", map_file, "--steps", "5", flag, ","]
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv + ["--bench"] * bench)
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err

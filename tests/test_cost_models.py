@@ -1,6 +1,5 @@
 import math
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,15 +11,34 @@ from mapdflow.cost_models import (AvgWaitCost, EdgeWaitStats, TrafficCost,
                                   update_wait_stats, vertex_congestion)
 from mapdflow.grid_map import GridMap
 
-from conftest import random_grid
+from conftest import WaitOracle, fcost_oracle, random_grid, traffic_oracle
+
+# Two rows of six open cells: the pairs the formula tests name, such as
+# (1, 2) and (2, 3), are edges of the top row.
+GRID = GridMap(6, 2, [True] * 12)
 
 
-def traffic(entries=None, traversals=None):
-    return TrafficState(entries=entries or {}, traversals=traversals or {})
+def edge_id(grid, e):
+    return list(grid.directed_edges()).index(e)
 
 
-def traffic_on_grid(grid, paths):
-    ts = TrafficState.on_grid(grid)
+def traffic(entries=(), traversals=()):
+    """A traffic state on ``GRID`` holding the given counts."""
+    ts = TrafficState(GRID)
+    for v, count in dict(entries).items():
+        ts.entry_counts[v] = count
+    for e, count in dict(traversals).items():
+        ts.traversal_counts[edge_id(GRID, e)] = count
+    return ts
+
+
+def set_waits(stats, e, w, n, stamp=0):
+    i = edge_id(stats.grid, e)
+    stats.w[i], stats.n[i], stats.stamp[i] = w, n, stamp
+
+
+def traffic_from_paths(grid, paths):
+    ts = TrafficState(grid)
     ts.set_paths(paths)
     return ts
 
@@ -55,27 +73,41 @@ def test_fcost_formula():
 
 
 def test_pcost_formula():
-    stats = EdgeWaitStats()
+    stats = EdgeWaitStats(GRID)
     assert pcost((1, 2), stats) == 1.0
-    stats._w[(1, 2)] = (4.0, 0)
-    stats._n[(1, 2)] = (2.0, 0)
+    set_waits(stats, (1, 2), 4.0, 2.0)
     assert pcost((1, 2), stats) == 3.0
-    stats._w[(3, 4)] = (0.0, 0)
-    stats._n[(3, 4)] = (5.0, 0)
+    set_waits(stats, (3, 4), 0.0, 5.0)
     assert pcost((3, 4), stats) == 1.0
 
 
+def test_scalar_reads_of_a_pair_that_is_no_edge():
+    # A jump, a pair off the map and a cell to itself have no traffic and
+    # no waits, however busy the cells around them are. The last edge,
+    # (11, 10), is busy too: id -1 must not wrap round to it.
+    ts = traffic_from_paths(GRID, [[0, 1, 2, 8, 7], [7, 8, 2, 1, 0], [0, 3],
+                                   [10, 11, 10]])
+    stats = EdgeWaitStats(GRID)
+    stats.apply_window([((1, 2), 4), ((2, 1), 1), ((0, 1), 2), ((11, 10), 3)])
+    for e in ((0, 2), (0, 3), (2, 2), (-1, 0), (5, 6), (11, 12), (1, -1)):
+        assert contraflow(e, ts) == 0.0
+        assert stats.wait_total(e) == stats.traversal_count(e) == 0.0
+        assert pcost(e, stats) == 1.0
+    assert fcost((0, 3), ts) == 1.0 + vertex_congestion(3, ts)
+    assert vertex_congestion(-1, ts) == vertex_congestion(12, ts) == 0.0
+    assert contraflow((1, 2), ts) == 1.0 and pcost((1, 2), stats) == 5.0
+
+
 def test_decay_update_matches_closed_form():
-    stats = EdgeWaitStats(gamma=0.9)
-    stats._w[(1, 2)] = (10.0, 0)
-    stats._n[(1, 2)] = (2.0, 0)
+    stats = EdgeWaitStats(GRID, gamma=0.9)
+    set_waits(stats, (1, 2), 10.0, 2.0)
     update_wait_stats(stats, [((1, 2), 2)])
     assert stats.wait_total((1, 2)) == pytest.approx(11.0)
     assert stats.traversal_count((1, 2)) == pytest.approx(2.8)
 
 
 def test_decay_without_events():
-    stats = EdgeWaitStats(gamma=0.9)
+    stats = EdgeWaitStats(GRID, gamma=0.9)
     update_wait_stats(stats, [((0, 1), 3)])
     w0, n0 = stats.wait_total((0, 1)), stats.traversal_count((0, 1))
     update_wait_stats(stats, [])
@@ -86,7 +118,7 @@ def test_decay_without_events():
 def test_decay_k_windows_geometric():
     # closed form gamma^k * (W0, N0), cross-checked by iterating the update
     for gamma in (0.5, 0.9, 1.0):
-        stats = EdgeWaitStats(gamma=gamma)
+        stats = EdgeWaitStats(GRID, gamma=gamma)
         update_wait_stats(stats, [((2, 3), 4)])
         w0, n0 = stats.wait_total((2, 3)), stats.traversal_count((2, 3))
         k = 7
@@ -103,7 +135,7 @@ def test_decay_table_stays_bounded_and_exact(gamma):
     cap = 0
     while gamma < 1.0 and gamma ** cap != 0.0:
         cap += 1
-    stats = EdgeWaitStats(gamma=gamma, grid=GridMap(3, 1, [True] * 3))
+    stats = EdgeWaitStats(GridMap(3, 1, [True] * 3), gamma=gamma)
     for epoch in (1, 10, cap // 2, cap + 1, 2 * cap + 5, 3 * cap + 100):
         stats.epoch = epoch
         ages = np.arange(epoch + 1)
@@ -117,24 +149,24 @@ def test_decay_table_stays_bounded_and_exact(gamma):
 
 
 def test_update_rejects_negative_wait():
-    stats = EdgeWaitStats()
+    stats = EdgeWaitStats(GRID)
     with pytest.raises(ValueError):
         update_wait_stats(stats, [((1, 2), -1)])
 
 
 def test_gamma_validation():
     with pytest.raises(ValueError):
-        EdgeWaitStats(gamma=0.0)
+        EdgeWaitStats(GRID, gamma=0.0)
     with pytest.raises(ValueError):
-        EdgeWaitStats(gamma=1.5)
-    EdgeWaitStats(gamma=1.0)
+        EdgeWaitStats(GRID, gamma=1.5)
+    EdgeWaitStats(GRID, gamma=1.0)
 
 
 def test_order_independence_within_window():
     events = [((1, 2), 3), ((2, 3), 1), ((1, 2), 0), ((1, 2), 5), ((2, 3), 2)]
-    a = EdgeWaitStats(gamma=0.8)
+    a = EdgeWaitStats(GRID, gamma=0.8)
     update_wait_stats(a, events)
-    b = EdgeWaitStats(gamma=0.8)
+    b = EdgeWaitStats(GRID, gamma=0.8)
     rng = random.Random(0)
     shuffled = list(events)
     rng.shuffle(shuffled)
@@ -145,34 +177,41 @@ def test_order_independence_within_window():
 
 
 def test_traffic_state_from_guide_paths():
-    paths = [[0, 1, 2], [3, 1, 2], [2, 1]]
-    ts = TrafficState.from_guide_paths(paths)
-    assert ts.entries[1] == 3  # two forward entries plus the reverse pass
-    assert ts.entries[2] == 2
-    assert ts.traversals[(1, 2)] == 2
-    assert ts.traversals[(2, 1)] == 1
+    paths = [[0, 1, 2], [7, 1, 2], [2, 1]]
+    ts = traffic_from_paths(GRID, paths)
+    assert ts.entry_counts[1] == 3  # two forward entries plus the reverse pass
+    assert ts.entry_counts[2] == 2
+    assert ts.traversal_counts[edge_id(GRID, (1, 2))] == 2
+    assert ts.traversal_counts[edge_id(GRID, (2, 1))] == 1
     assert contraflow((1, 2), ts) == 2.0
 
 
 def test_traffic_state_revisits_count_again():
-    ts = TrafficState.from_guide_paths([[0, 1, 0, 1]])
-    assert ts.entries[1] == 2
-    assert ts.entries[0] == 1
+    ts = traffic_from_paths(GRID, [[0, 1, 0, 1]])
+    assert ts.entry_counts[1] == 2
+    assert ts.entry_counts[0] == 1
 
 
 def test_traffic_rebuild_idempotent():
-    paths = [[0, 1, 2, 3], [5, 1, 2]]
-    a = TrafficState.from_guide_paths(paths)
-    b = TrafficState.from_guide_paths(paths)
-    assert a.entries == b.entries and a.traversals == b.traversals
+    paths = [[0, 1, 2, 3], [5, 4, 3, 2]]
+    a = traffic_from_paths(GRID, paths)
+    b = traffic_from_paths(GRID, paths)
+    assert a.entry_counts.tolist() == b.entry_counts.tolist()
+    assert a.traversal_counts.tolist() == b.traversal_counts.tolist()
+    # Recounting equal copies of the same paths changes nothing.
+    a.set_paths([list(p) for p in paths])
+    assert a.entry_counts.tolist() == b.entry_counts.tolist()
+    assert a.traversal_counts.tolist() == b.traversal_counts.tolist()
 
 
 def test_cost_functions_lower_bound_one():
     rng = random.Random(1)
+    edges = set(GRID.directed_edges())
     ts = traffic(
         entries={v: rng.randint(0, 5) for v in range(10)},
-        traversals={(u, v): rng.randint(0, 3) for u in range(5) for v in range(5)})
-    stats = EdgeWaitStats()
+        traversals={(u, v): rng.randint(0, 3) for u in range(5) for v in range(5)
+                    if (u, v) in edges})
+    stats = EdgeWaitStats(GRID)
     update_wait_stats(stats, [((1, 2), 4), ((0, 1), 0)])
     for u in range(5):
         for v in range(5):
@@ -182,14 +221,16 @@ def test_cost_functions_lower_bound_one():
 
 def test_fcost_empty_traffic_equals_unit_everywhere():
     grid = GridMap(4, 3, [True] * 12)
-    assert (grid.edge_costs(TrafficCost(TrafficState.on_grid(grid))) == 1.0).all()
-    assert all(fcost(e, traffic()) == 1.0 for e in grid.directed_edges())
+    ts = TrafficState(grid)
+    assert (grid.edge_costs(TrafficCost(ts)) == 1.0).all()
+    assert all(fcost(e, ts) == 1.0 for e in grid.directed_edges())
 
 
 def test_avg_wait_cost_fresh_equals_unit():
     grid = GridMap(4, 3, [True] * 12)
-    assert (grid.edge_costs(AvgWaitCost(EdgeWaitStats(grid=grid))) == 1.0).all()
-    assert all(pcost(e, EdgeWaitStats()) == 1.0 for e in grid.directed_edges())
+    stats = EdgeWaitStats(grid)
+    assert (grid.edge_costs(AvgWaitCost(stats)) == 1.0).all()
+    assert all(pcost(e, stats) == 1.0 for e in grid.directed_edges())
 
 
 def test_cost_arrays_equal_scalar_formulas_edge_by_edge():
@@ -204,17 +245,19 @@ def test_cost_arrays_equal_scalar_formulas_edge_by_edge():
             for _ in range(rng.randint(1, 12)):
                 path.append(rng.choice(grid.neighbors(path[-1]) or [path[-1]]))
             paths.append(path)
-        ts = TrafficState.from_guide_paths(paths)
-        stats, on_grid = EdgeWaitStats(gamma=0.8), EdgeWaitStats(0.8, grid=grid)
+        entries, traversals = traffic_oracle(paths)
+        oracle, stats = WaitOracle(0.8), EdgeWaitStats(grid, gamma=0.8)
         for _ in range(3):
             events = [(rng.choice(edges), rng.randint(0, 4)) for _ in range(10)]
+            oracle.apply_window(events)
             update_wait_stats(stats, events)
-            update_wait_stats(on_grid, events)
-        traffic_arr = grid.edge_costs(TrafficCost(traffic_on_grid(grid, paths)))
-        wait_arr = grid.edge_costs(AvgWaitCost(on_grid))
+        ts = traffic_from_paths(grid, paths)
+        traffic_arr = grid.edge_costs(TrafficCost(ts))
+        wait_arr = grid.edge_costs(AvgWaitCost(stats))
         for e, edge in enumerate(edges):
-            assert traffic_arr[e] == fcost(edge, ts)
-            assert wait_arr[e] == pcost(edge, stats)
+            assert traffic_arr[e] == fcost(edge, ts) == fcost_oracle(
+                edge, entries, traversals)
+            assert wait_arr[e] == pcost(edge, stats) == oracle.pcost(edge)
         assert (traffic_arr > 1.0).any() and (wait_arr > 1.0).any()
 
 
@@ -253,24 +296,27 @@ def guide_paths(draw, grid):
 def test_traffic_array_equals_fcost_edge_by_edge(data):
     grid = data.draw(grids())
     paths = data.draw(guide_paths(grid))
-    ts = TrafficState.from_guide_paths(paths)
+    entries, traversals = traffic_oracle(paths)
+    edges = list(grid.directed_edges())
+    ts = traffic_from_paths(grid, paths)
     # The counts are those of a plain loop over the paths.
-    assert ts.entries == Counter(p[i] for p in paths for i in range(1, len(p)))
-    assert ts.traversals == Counter((p[i - 1], p[i]) for p in paths
-                                    for i in range(1, len(p)))
-    want = [fcost(e, ts) for e in grid.directed_edges()]
-    arr = grid.edge_costs(TrafficCost(traffic_on_grid(grid, paths)))
+    assert ts.entry_counts.tolist() == [entries[c]
+                                        for c in range(grid.width * grid.height)]
+    assert ts.traversal_counts.tolist() == [traversals[e] for e in edges]
+    want = [fcost_oracle(e, entries, traversals) for e in edges]
+    arr = grid.edge_costs(TrafficCost(ts))
     assert arr.dtype == np.float64
     assert arr.tolist() == want
+    assert [fcost(e, ts) for e in edges] == want
 
 
 GRID3 = GridMap(3, 3, [True] * 9)
 
 
 @pytest.mark.parametrize("model", [
-    TrafficCost(TrafficState.on_grid(GRID3)),
-    TrafficCost(traffic_on_grid(GRID3, [[0, 1, 2, 5], [5, 2, 1]])),
-    AvgWaitCost(update_wait_stats(EdgeWaitStats(grid=GRID3),
+    TrafficCost(TrafficState(GRID3)),
+    TrafficCost(traffic_from_paths(GRID3, [[0, 1, 2, 5], [5, 2, 1]])),
+    AvgWaitCost(update_wait_stats(EdgeWaitStats(GRID3),
                                   [((0, 1), 3), ((1, 0), 0)])),
 ])
 def test_edge_costs_calls_a_library_model_once(model, monkeypatch):
@@ -298,7 +344,7 @@ def test_grid_traffic_counts_follow_path_slots(data):
     grid = data.draw(grids())
     pool = data.draw(guide_paths(grid))
     edges = list(grid.directed_edges())
-    ts = TrafficState.on_grid(grid)
+    ts = TrafficState(grid)
     slots = [None] * data.draw(st.integers(0, 5))
     # Each call, a slot keeps its path, loses it (a delivery), takes
     # another list object (re-staging; an equal copy, or a path that
@@ -315,14 +361,13 @@ def test_grid_traffic_counts_follow_path_slots(data):
         size = data.draw(st.integers(0, 6))
         slots = (slots + [None] * size)[:size]
         ts.set_paths(slots)
-        ref = TrafficState.from_guide_paths(p for p in slots if p)
+        entries, traversals = traffic_oracle(p for p in slots if p)
         assert ts.entry_counts.tolist() == [
-            ref.entries.get(c, 0) for c in range(grid.width * grid.height)]
+            entries[c] for c in range(grid.width * grid.height)]
         # Steps between non-adjacent cells match no edge, so the grid
         # state has no count for them.
-        assert ts.traversal_counts.tolist() == [ref.traversals.get(e, 0)
-                                                for e in edges]
-        want = [fcost(e, ref) for e in edges]
+        assert ts.traversal_counts.tolist() == [traversals[e] for e in edges]
+        want = [fcost_oracle(e, entries, traversals) for e in edges]
         arr = TrafficCost(ts)(grid.tails, grid.heads)
         assert arr.dtype == np.float64
         assert arr.tolist() == want
@@ -330,19 +375,19 @@ def test_grid_traffic_counts_follow_path_slots(data):
 
 
 def draw_wait_stats(data, grid):
-    """Wait statistics on ``grid`` and in dicts, fed the same events and
-    then the same hand-written entries."""
+    """Wait statistics on ``grid`` and a :class:`WaitOracle`, fed the same
+    events and then the same hand-written entries."""
     edges = list(grid.directed_edges())
     gamma = data.draw(st.one_of(st.just(1.0),
                                 st.floats(0.0, 1.0, exclude_min=True)))
-    on_grid, plain = EdgeWaitStats(gamma, grid=grid), EdgeWaitStats(gamma)
+    on_grid, plain = EdgeWaitStats(grid, gamma=gamma), WaitOracle(gamma)
     # Some epochs have no events, and an edge's entry ages while others change.
     for _ in range(data.draw(st.integers(0, 6))):
         events = data.draw(st.lists(st.tuples(st.sampled_from(edges),
                                               st.integers(0, 9)), max_size=8)
                            if edges and data.draw(st.booleans()) else st.just([]))
         update_wait_stats(on_grid, events)
-        update_wait_stats(plain, events)
+        plain.apply_window(events)
     assert on_grid.epoch == plain.epoch
     # Hand-written entries on both, stale stamps included: W without N
     # (N = 0) and N = 0 with W = 0 among them.
@@ -352,7 +397,7 @@ def draw_wait_stats(data, grid):
         w = data.draw(st.floats(0.0, 50.0))
         n = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 50.0)))
         on_grid.w[i], on_grid.n[i], on_grid.stamp[i] = w, n, stamp
-        plain._w[edges[i]], plain._n[edges[i]] = (w, stamp), (n, stamp)
+        plain.w[edges[i]], plain.n[edges[i]] = (w, stamp), (n, stamp)
     return on_grid, plain
 
 
@@ -362,9 +407,13 @@ def test_grid_wait_stats_equal_dict_stats_edge_by_edge(data):
     grid = data.draw(grids())
     on_grid, plain = draw_wait_stats(data, grid)
     edges = list(grid.directed_edges())
+    want_w = [plain.read(plain.w, e) for e in edges]
+    want_n = [plain.read(plain.n, e) for e in edges]
     factor = on_grid.decay(on_grid.epoch - on_grid.stamp)
-    assert (on_grid.w * factor).tolist() == [plain.wait_total(e) for e in edges]
-    assert (on_grid.n * factor).tolist() == [plain.traversal_count(e) for e in edges]
+    assert (on_grid.w * factor).tolist() == want_w
+    assert (on_grid.n * factor).tolist() == want_n
+    assert [on_grid.wait_total(e) for e in edges] == want_w
+    assert [on_grid.traversal_count(e) for e in edges] == want_n
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -372,18 +421,19 @@ def test_grid_wait_stats_equal_dict_stats_edge_by_edge(data):
 def test_avg_wait_array_equals_pcost_edge_by_edge(data):
     grid = data.draw(grids())
     on_grid, plain = draw_wait_stats(data, grid)
-    want = [pcost(e, plain) for e in grid.directed_edges()]
+    want = [plain.pcost(e) for e in grid.directed_edges()]
     with np.errstate(over="ignore"):   # W / N may overflow, as in pcost
         arr = AvgWaitCost(on_grid)(grid.tails, grid.heads)
     assert arr.dtype == np.float64
     assert arr.tolist() == want
+    assert [pcost(e, on_grid) for e in grid.directed_edges()] == want
     if all(map(math.isfinite, want)):
         assert grid.edge_costs(AvgWaitCost(on_grid)).tolist() == want
 
 
 def test_grid_states_reject_events_and_edges_off_the_grid():
     grid = GridMap(3, 1, [True, True, False])
-    stats = EdgeWaitStats(grid=grid)
+    stats = EdgeWaitStats(grid)
     update_wait_stats(stats, [((0, 1), 2), ((1, 0), 0)])
     for bad in ([((1, 2), 0)], [((0, 2), 0)], [((0, 1), -1)], [((-1, 1), 0)],
                 [((3, 2), 0)]):
@@ -392,22 +442,18 @@ def test_grid_states_reject_events_and_edges_off_the_grid():
     assert stats.epoch == 1
     model = AvgWaitCost(stats)
     assert model(grid.tails, grid.heads).tolist() == [3.0, 1.0]
-    for model in (model, TrafficCost(TrafficState.on_grid(grid))):
+    for model in (model, TrafficCost(TrafficState(grid))):
         with pytest.raises(ValueError):
             model(grid.tails.copy(), grid.heads)
-    # A model prices only states kept on a grid.
-    for model in (TrafficCost(traffic()), AvgWaitCost(EdgeWaitStats())):
-        with pytest.raises(ValueError):
-            model(grid.tails, grid.heads)
     # On an open row, tail -1 would wrap round to the last cell, the tail
     # of edge (2, 1); it is no cell, so it matches no edge.
     row = GridMap(3, 1, [True] * 3)
     with pytest.raises(ValueError):
-        update_wait_stats(EdgeWaitStats(grid=row), [((-1, 1), 5)])
+        update_wait_stats(EdgeWaitStats(row), [((-1, 1), 5)])
     # A path with a cell off the map raises before it changes the counts or
     # the counted paths: head -1 would wrap round to cell 2, head 3 is past
     # the end, and tail -1 is no cell either.
-    ts = traffic_on_grid(row, [[0, 1]])
+    ts = traffic_from_paths(row, [[0, 1]])
     entries, traversals = ts.entry_counts.copy(), ts.traversal_counts.copy()
     for bad in ([[1, -1]], [[1, 3]], [None, [-1, 1]]):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """The quick demos run to completion; demo 04's output is pinned.
 
-Demo 04 prints congestion costs read through the ``TrafficState`` dicts
-and the scalar formulas, so its exact output guards that API. Demos 06 and
+Demo 04 prints congestion costs read one edge at a time from states kept
+on a small open map, through the scalar formulas, so its exact output
+guards that API. Demos 06 and
 07 run full simulations for 15-20 s each and are left out.
 """
 

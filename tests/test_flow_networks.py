@@ -61,7 +61,7 @@ def random_walk_traffic(rng, grid, walks, length):
         for _ in range(length):
             path.append(rng.choice(grid.neighbors(path[-1]) or [path[-1]]))
         paths.append(path)
-    ts = TrafficState.on_grid(grid)
+    ts = TrafficState(grid)
     ts.set_paths(paths)
     return TrafficCost(ts)
 
@@ -261,7 +261,7 @@ def draw_agents_and_tasks(draw, cells):
 
 def draw_wait_costs(draw, grid):
     """Decayed average waits, as AvgWaitCost computes them each round."""
-    stats = EdgeWaitStats(gamma=draw(st.floats(0.05, 1.0)), grid=grid)
+    stats = EdgeWaitStats(grid, gamma=draw(st.floats(0.05, 1.0)))
     edges = list(grid.directed_edges())
     for _ in range(draw(st.integers(0, 5))):
         events = draw(st.lists(st.tuples(st.sampled_from(edges),

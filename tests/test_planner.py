@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -274,6 +276,21 @@ def test_idle_agent_is_pushed_out_of_the_way():
     pr = [2.0, 0.1]
     locs = step_agents(grid, locs, [h, None], pr)
     assert locs[0] == 1 and locs[1] == 2
+
+
+def test_step_frees_its_heuristics_without_the_cyclic_collector():
+    # Nothing of a step outlives it in a reference cycle: with the collector
+    # off, the heuristics die as soon as the caller drops them.
+    grid = GridMap(4, 2, [True] * 8)
+    heuristics = [GuideHeuristic(grid, goal) for goal in (3, 4, 7)]
+    refs = [weakref.ref(h) for h in heuristics]
+    gc.disable()
+    try:
+        pibt_step(grid, [0, 1, 2], heuristics, [3.0, 2.0, 1.0])
+        del heuristics
+        assert [r() for r in refs] == [None] * 3
+    finally:
+        gc.enable()
 
 
 def test_head_on_corridor_with_pocket_no_swap():

@@ -5,12 +5,12 @@ import pytest
 
 from mapdflow import simulator
 from mapdflow.assignment import AssignmentSet, TaskState
-from mapdflow.cost_models import (EdgeWaitStats, TrafficState, fcost, pcost,
-                                  update_wait_stats)
 from mapdflow.grid_map import DistanceProvider, GridMap, parse_map
 from mapdflow.mapgen import random_map, warehouse_map
 from mapdflow.planner import ActionStep
 from mapdflow.simulator import SimConfig, Simulation, run
+
+from conftest import WaitOracle, fcost_oracle, traffic_oracle
 
 MAPS = Path(__file__).resolve().parent.parent / "maps"
 
@@ -265,9 +265,9 @@ def test_wait_stats_decay_once_per_step_off_rounds_included(step_budget):
 def test_round_costs_equal_a_from_scratch_reference(monkeypatch, cost_model, period):
     # The simulator keeps traffic counts and wait statistics as arrays and
     # updates them only where they change. Each round's cost array must
-    # equal the scalar formula on a state built from scratch: traffic
+    # equal the oracle formula on counts built from scratch: traffic
     # counted from the delivering agents' paths at the round, avg-wait from
-    # a grid-less EdgeWaitStats fed the same events.
+    # a WaitOracle fed the same events.
     if cost_model == "traffic":
         grid = parse_map(MAPS.joinpath("random32.map").read_text())
         cfg = SimConfig(num_agents=40, cost_model="traffic", horizon=90,
@@ -278,11 +278,11 @@ def test_round_costs_equal_a_from_scratch_reference(monkeypatch, cost_model, per
                         task_distribution="labeled-es", schedule_period=period,
                         seed=4)
     sim = Simulation(grid, cfg)
-    reference = EdgeWaitStats(gamma=cfg.gamma)
+    reference = WaitOracle(cfg.gamma)
     update = simulator.update_wait_stats
 
     def update_both(stats, events):
-        update_wait_stats(reference, events)
+        reference.apply_window(events)
         return update(stats, events)
 
     monkeypatch.setattr(simulator, "update_wait_stats", update_both)
@@ -293,11 +293,11 @@ def test_round_costs_equal_a_from_scratch_reference(monkeypatch, cost_model, per
     def checked_round_costs():
         costs = round_costs()
         if cost_model == "traffic":
-            ts = TrafficState.from_guide_paths(
+            entries, traversals = traffic_oracle(
                 a.guide_path for a in sim.agents if a.is_delivering and a.guide_path)
-            want = [fcost(e, ts) for e in edges]
+            want = [fcost_oracle(e, entries, traversals) for e in edges]
         else:
-            want = [pcost(e, reference) for e in edges]
+            want = [reference.pcost(e) for e in edges]
         assert costs.tolist() == want, f"round at step {sim.step_idx + 1}"
         highest.append(max(want))
         return costs

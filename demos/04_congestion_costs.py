@@ -11,15 +11,15 @@ from mapdflow import (EdgeWaitStats, GridMap, TrafficState, contraflow, fcost,
 
 grid = GridMap(8, 5, [True] * 40)   # open 8x5 map: cell = 8 * row + column
 
-# Three delivering agents; two pass through cell 12, one drives against
+# Three delivering agents; all three enter cell 12, and one drives against
 # the flow on edge (11, 12).
 guide_paths = [
     [10, 11, 12, 13],
     [20, 12, 11],
-    [30, 12, 13],
+    [28, 20, 12, 13],
 ]
 ts = TrafficState(grid)
-ts.set_paths(guide_paths)
+ts.add(guide_paths)
 
 print("edge            unit  p_v2  c_e  fcost")
 for e in ((11, 12), (12, 11), (12, 13), (10, 11)):

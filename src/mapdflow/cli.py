@@ -14,31 +14,13 @@ import concurrent.futures
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .grid_map import GridMap, parse_map
 from .simulator import (COST_MODELS, STRATEGIES, SimConfig, SimMetrics,
                         Simulation)
-
-
-@dataclass
-class ExperimentSpec:
-    """One CLI invocation: a matrix of simulation configs plus output targets."""
-
-    map_path: str
-    configs: list[SimConfig] = field(default_factory=list)
-    out_dir: str | None = None
-    trace: bool = False
-    bench: bool = False
-    workers: int = 1
-
-    def validate(self) -> None:
-        if not os.path.exists(self.map_path):
-            raise FileNotFoundError(f"map file not found: {self.map_path}")
-        for config in self.configs:
-            config.validate()
 
 
 RESULTS_HEADER = ("map,agents,strategy,cost,gamma,seed,steps,schedule_k,mode,"
@@ -247,19 +229,17 @@ def run_cli(argv: list[str] | None = None) -> int:
                for cost in args.cost
                for n in args.agents
                for seed in args.seed]
-    spec = ExperimentSpec(map_path=args.map, configs=configs,
-                          out_dir=args.out, trace=args.trace,
-                          bench=args.bench, workers=args.workers)
     try:
-        spec.validate()
-        with open(spec.map_path, encoding="utf-8") as fh:
+        for config in configs:
+            config.validate()
+        with open(args.map, encoding="utf-8") as fh:
             map_text = fh.read()
         grid = parse_map(map_text)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if spec.bench:
+    if args.bench:
         rows = bench_scaling(grid, args.agents, args.strategy,
                              cost_model=args.cost[0], rounds=args.bench_steps,
                              seed=args.seed[0])
@@ -267,41 +247,41 @@ def run_cli(argv: list[str] | None = None) -> int:
             f"{r['strategy']},{r['agents']},{r['solves']},"
             f"{r['p50_ms']:.3f},{r['p95_ms']:.3f},{r['max_ms']:.3f}\n"
             for r in rows)
-        if spec.out_dir:
-            os.makedirs(spec.out_dir, exist_ok=True)
-            with open(os.path.join(spec.out_dir, "bench.csv"), "w") as fh:
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
+            with open(os.path.join(args.out, "bench.csv"), "w") as fh:
                 fh.write(text)
         print(text, end="")
         return 0
 
-    jobs = [(map_text, config, spec.trace) for config in spec.configs]
-    if spec.workers > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(spec.workers) as pool:
+    jobs = [(map_text, config, args.trace) for config in configs]
+    if args.workers > 1 and len(jobs) > 1:
+        with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
             outcomes = list(pool.map(_run_one, jobs))
     else:
         outcomes = [_run_one(job) for job in jobs]
 
-    map_name = os.path.basename(spec.map_path)
+    map_name = os.path.basename(args.map)
     rows = [_summary_row(map_name, config, metrics, logical)
-            for config, (metrics, _) in zip(spec.configs, outcomes)]
+            for config, (metrics, _) in zip(configs, outcomes)]
     summary = {"runs": rows}
 
-    if spec.out_dir:
-        os.makedirs(spec.out_dir, exist_ok=True)
-        with open(os.path.join(spec.out_dir, "results.csv"), "w") as fh:
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        with open(os.path.join(args.out, "results.csv"), "w") as fh:
             fh.write(RESULTS_HEADER)
             for row in rows:
                 fh.write(_results_line(row))
-        with open(os.path.join(spec.out_dir, "summary.json"), "w") as fh:
+        with open(os.path.join(args.out, "summary.json"), "w") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
-        for config, (metrics, trace_rows) in zip(spec.configs, outcomes):
+        for config, (metrics, trace_rows) in zip(configs, outcomes):
             tag = (f"{config.strategy}_{config.cost_model}"
                    f"_n{config.num_agents}_s{config.seed}")
-            with open(os.path.join(spec.out_dir, f"steps_{tag}.csv"), "w") as fh:
+            with open(os.path.join(args.out, f"steps_{tag}.csv"), "w") as fh:
                 metrics.write_csv(fh, logical=logical)
-            if spec.trace:
-                with open(os.path.join(spec.out_dir, f"trace_{tag}.csv"), "w") as fh:
+            if args.trace:
+                with open(os.path.join(args.out, f"trace_{tag}.csv"), "w") as fh:
                     fh.write("step,agent,from,to,action\n")
                     for step, agent, src, dst, kind in trace_rows:
                         fh.write(f"{step},{agent},{src},{dst},{kind}\n")

@@ -36,41 +36,35 @@ def _check_own_edges(grid: GridMap, tails, heads) -> None:
 
 
 class TrafficState:
-    """Congestion statistics derived from delivering agents' guide paths.
+    """Congestion statistics counted from delivering agents' guide paths.
 
-    ``entry_counts[v]`` counts agents entering cell ``v`` along their
-    planned path (one count per entry event, so revisits count again);
+    ``entry_counts[v]`` counts agents entering cell ``v`` along a counted
+    path (one count per entry event, so revisits count again);
     ``traversal_counts[i]`` counts planned traversals of the grid's edge
     ``i``. A path's second and later cells are entries, each entered from
-    the cell before it. A state starts empty and :meth:`set_paths` keeps
-    it current.
+    the cell before it; a step between non-adjacent cells counts as an
+    entry only. A state starts empty. :meth:`add` counts paths and
+    :meth:`remove` takes them out again, so a holder of paths changes the
+    counts where it sets or clears one.
     """
 
     def __init__(self, grid: GridMap):
         self.grid = grid
         self.entry_counts = np.zeros(grid.width * grid.height, dtype=np.int64)
         self.traversal_counts = np.zeros(grid.num_directed_edges(), dtype=np.int64)
-        self._counted: list[list[int] | None] = []   # per slot, the path counted
 
-    def set_paths(self, paths: list[list[int] | None]) -> None:
-        """Make the counts those of ``paths``, one slot each (None for no path).
+    def add(self, paths: Iterable[list[int]]) -> None:
+        """Count ``paths``. A path that steps from or to a cell off the map
+        raises ``ValueError`` and changes nothing."""
+        self._update(paths, 1)
 
-        Only a slot that holds another list object than at the last call
-        is recounted (slots past the end of ``paths`` hold None), so a
-        counted path must not change in place. A step between non-adjacent
-        cells counts as an entry only. A path that steps from or to a cell
-        off the map raises ``ValueError`` and changes nothing.
-        """
-        counted = self._counted
-        paths = list(paths) + [None] * (len(counted) - len(paths))
-        old = counted + [None] * (len(paths) - len(counted))
-        changed = [(path, was) for path, was in zip(paths, old) if path is not was]
-        # New paths first: a cell off the map raises before any count changes.
-        self._add([path for path, _ in changed if path], 1)
-        self._add([was for _, was in changed if was], -1)
-        self._counted = paths
+    def remove(self, paths: Iterable[list[int]]) -> None:
+        """Take counted ``paths`` out again. A cell off the map, or a count
+        that would fall below zero, raises ``ValueError`` and changes
+        nothing."""
+        self._update(paths, -1)
 
-    def _add(self, paths: list[list[int]], sign: int) -> None:
+    def _update(self, paths: Iterable[list[int]], sign: int) -> None:
         paths = [p for p in paths if len(p) > 1]
         if not paths:
             return
@@ -79,9 +73,16 @@ class TrafficState:
         size = len(self.entry_counts)
         if min(tails.min(), heads.min()) < 0 or max(tails.max(), heads.max()) >= size:
             raise ValueError("path cell off the map")
-        np.add.at(self.entry_counts, heads, sign)
         ids = self.grid.edge_ids(tails, heads)
-        np.add.at(self.traversal_counts, ids[ids >= 0], sign)
+        ids = ids[ids >= 0]
+        entries, traversals = self.entry_counts, self.traversal_counts
+        np.add.at(entries, heads, sign)
+        np.add.at(traversals, ids, sign)
+        if sign < 0 and (entries[heads].min() < 0
+                         or (len(ids) and traversals[ids].min() < 0)):
+            np.add.at(entries, heads, 1)
+            np.add.at(traversals, ids, 1)
+            raise ValueError("removing a path that was never counted")
 
 
 def vertex_congestion(v: int, ts: TrafficState) -> float:

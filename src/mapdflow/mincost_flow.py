@@ -225,6 +225,8 @@ class FlowNetwork:
         self.layout_costs = np.asarray(self.layout_costs, dtype=np.float64)
         if self.layout_costs.shape != (m,):
             raise ValueError("layout costs must give one cost per layout edge")
+        if not (np.isfinite(self.layout_costs).all() and (self.layout_costs >= 0).all()):
+            raise ValueError("edge cost must be finite and nonnegative")
         if self.layout_caps is None:
             self.layout_caps = np.full(m, UNBOUNDED, dtype=np.int64)
         caps = np.asarray(self.layout_caps)

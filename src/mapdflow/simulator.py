@@ -1,22 +1,27 @@
 """Lifelong MAPD simulation: task release, periodic assignment, PIBT
 execution, congestion statistics, and metrics.
 
-Each step runs a fixed phase order: (1) on scheduling rounds, update the
-traffic counts where delivery paths changed, evaluate the cost model into
-one per-edge cost array, and solve the configured assignment strategy;
-(2) under the traffic model only, stage the delivery-leg path of each
-agent that picked up since the last step, the one path a later phase
-reads (the next round's traffic counts); (3) execute one PIBT step,
-which steers by one unit-distance field per goal; (4) detect
-pickups/deliveries; (5) under the avg-wait model only, update the
-decayed wait statistics; (6) release tasks; (7) record metrics.
+Each step runs a fixed phase order: (1) on scheduling rounds, evaluate
+the cost model into one per-edge cost array and solve the configured
+assignment strategy; (2) under the traffic model only, stage the
+delivery-leg path of each agent that picked up since the last step, the
+one path a later phase reads (the next round's traffic counts); (3)
+execute one PIBT step, which steers by one unit-distance field per goal;
+(4) detect pickups/deliveries; (5) under the avg-wait model only, update
+the decayed wait statistics; (6) release tasks; (7) record metrics.
+
+``Simulation.tasks`` holds the tasks in play (released, not yet
+delivered) in release order. The traffic counts change where a step sets
+an agent's guide path and where a delivery clears it.
 
 Edge costs are a per-round snapshot: the solver and every delivery leg
 staged until the next round use the array evaluated at the round.
 
 Two time modes exist: logical mode ignores the per-step budget entirely
-(fully deterministic), wall-clock mode discards the step's fresh plans and
-makes every agent wait whenever phases 1-2 exceed the budget.
+(fully deterministic), wall-clock mode discards the step's fresh plans
+whenever phases 1-2 exceed the budget. Such a step commits nothing and
+skips PIBT; every agent waits, through the same move, trace and
+pickup/delivery code as a planned step.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import io
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,6 +183,7 @@ class Simulation:
             start_cells = [grid.free_cells[int(c)] for c in picks]
         for pickup, delivery in self._preset_tasks:
             if not (grid.is_free(pickup) and grid.is_free(delivery)
+                    and pickup != delivery
                     and self._component[pickup] == self._component[delivery]):
                 raise ValueError(f"preset task ({pickup}, {delivery}) needs two "
                                  "free cells in one connected component")
@@ -186,18 +193,17 @@ class Simulation:
         self.priorities = update_priorities([0.0] * n, [False] * n, [False] * n)
         self.wait_counters = [0] * n
 
+        # The tasks in play: released, not yet delivered, in release order.
+        # The pool is those not picked up.
         self.tasks: dict[int, Task] = {}
-        # Released, not yet delivered, in release order (values unused).
-        self.active_ids: dict[int, None] = {}
-        # The task pool: released, not yet picked up, in release order.
-        self._pool: dict[int, Task] = {}
         self.next_task_id = 0
         self.released = 0
+        self.picked_up = 0
         self.delivered = 0
 
         self.wait_stats = EdgeWaitStats(grid, gamma=config.gamma)
-        # Counts of the delivering agents' guide paths, brought up to date
-        # each traffic round.
+        # Counts of the agents' guide paths, changed where a path is set or
+        # cleared.
         self.traffic = TrafficState(grid)
         self.edge_cost = None   # per-edge cost array, evaluated each round
         # Distance tables have two readers: greedy's pickup costs and the
@@ -247,18 +253,13 @@ class Simulation:
         self.next_task_id += 1
         self.released += 1
         self.tasks[task.id] = task
-        self.active_ids[task.id] = None
-        self._pool[task.id] = task
         return task
-
-    def _pool_size(self) -> int:
-        return len(self._pool)
 
     def _release_tasks(self) -> None:
         cfg = self.config
         if cfg.pool_policy == "constant-ratio":
             target = math.ceil(cfg.pool_ratio * cfg.num_agents)
-            for _ in range(target - self._pool_size()):
+            for _ in range(target - (self.released - self.picked_up)):
                 self._spawn_task()
         else:
             budget = cfg.task_budget if cfg.task_budget is not None else 1 << 60
@@ -273,8 +274,6 @@ class Simulation:
         if cfg.cost_model == "unit":
             model = None
         elif cfg.cost_model == "traffic":
-            self.traffic.set_paths([a.guide_path if a.is_delivering else None
-                                    for a in self.agents])
             model = TrafficCost(self.traffic)
         else:
             model = AvgWaitCost(self.wait_stats)
@@ -286,19 +285,21 @@ class Simulation:
         self.edge_cost = self._round_cost_model()
         if cfg.strategy == "greedy" and cfg.cost_model == "unit":
             # Unit tables outlive the round only for goals still in play.
-            tasks = self.tasks
-            self._unit_provider.retain({c for tid in self.active_ids for c in
-                                        (tasks[tid].pickup, tasks[tid].delivery)})
+            self._unit_provider.retain({c for t in self.tasks.values()
+                                        for c in (t.pickup, t.delivery)})
             self.provider = self._unit_provider
         elif cfg.strategy == "greedy" or cfg.cost_model == "traffic":
             self.provider = DistanceProvider(self.grid, self.edge_cost)
 
+        # Enum members bound to locals: reading one off the class in the
+        # loop costs more than the loop's own test.
+        pooled, picked_up = TaskState.POOLED, TaskState.PICKED_UP
         if cfg.strategy == "greedy":
             available = [a for a in self.agents if a.is_free]
-            pool = [t for t in self._pool.values() if t.state is TaskState.POOLED]
+            pool = [t for t in self.tasks.values() if t.state is pooled]
             return greedy_assign(available, pool, self.provider), available
         available = [a for a in self.agents if not a.is_delivering]
-        pool = list(self._pool.values())   # pooled and assigned tasks
+        pool = [t for t in self.tasks.values() if t.state is not picked_up]
         if cfg.strategy == "linear":
             return linear_assignment(available, pool, self.grid, self.edge_cost), available
         return (flow_assign(self.grid, available, pool, self.edge_cost,
@@ -375,18 +376,12 @@ class Simulation:
 
         timed_out = cfg.step_budget is not None and solver_time > cfg.step_budget
         round_cost = 0.0
-        events: list[tuple[tuple[int, int], int]] = []
-        reached = [False] * cfg.num_agents
-
+        old = [a.location for a in self.agents]
         if timed_out:
+            # The fresh plans are dropped and every agent waits.
             self.metrics.timeout_count += 1
-            for i in range(cfg.num_agents):
-                self.wait_counters[i] += 1
-            if self.trace_enabled:
-                for a in self.agents:
-                    self.trace_rows.append(
-                        (self.step_idx + 1, a.id, a.location, a.location, "timeout"))
-            has_goal = [self._goal_of(a) is not None for a in self.agents]
+            goals = [self._goal_of(a) for a in self.agents]
+            new, moved = old, [False] * cfg.num_agents
         else:
             if aset is not None:
                 self._commit_round(aset, available)
@@ -394,6 +389,7 @@ class Simulation:
                 self.metrics.total_assignment_cost += round_cost
             for agent_id, path in staged_paths.items():
                 self.agents[agent_id].guide_path = path
+            self.traffic.add(staged_paths.values())
 
             # One heuristic per goal: kept while some agent heads there.
             goals = [self._goal_of(a) for a in self.agents]
@@ -401,46 +397,54 @@ class Simulation:
             self._fields = {g: kept[g] if g in kept else GuideHeuristic(self.grid, g)
                             for g in set(goals) - {None}}
             heuristics = [self._fields.get(g) for g in goals]
-            old = [a.location for a in self.agents]
             action = pibt_step(self.grid, old, heuristics, self.priorities)
             self._verify_step(old, action.locations)
-            for i, agent in enumerate(self.agents):
-                agent.location = action.locations[i]
-                if action.moved[i]:
-                    events.append(((old[i], agent.location), self.wait_counters[i]))
-                    self.wait_counters[i] = 0
-                else:
-                    self.wait_counters[i] += 1
-                if self.trace_enabled:
-                    kind = "move" if action.moved[i] else "wait"
-                    self.trace_rows.append(
-                        (self.step_idx + 1, i, old[i], agent.location, kind))
+            new, moved = action.locations, action.moved
 
-            # Phase 4: pickups and deliveries at the new locations. A
-            # pickup swaps the goal for the delivery cell; a delivery clears it.
-            has_goal = [g is not None for g in goals]
-            for agent in self.agents:
-                if agent.is_delivering:
-                    task = self.tasks[agent.carried_task]
-                    if agent.location == task.delivery:
-                        task.state = TaskState.DELIVERED
-                        del self.active_ids[task.id]
-                        self.delivered += 1
-                        agent.carried_task = None
-                        agent.assigned_task = None
-                        agent.guide_path = None
-                        reached[agent.id] = True
-                        has_goal[agent.id] = False
-                elif agent.assigned_task is not None:
-                    task = self.tasks[agent.assigned_task]
-                    if agent.location == task.pickup:
-                        if self._component[task.delivery] != self._component[task.pickup]:
-                            raise RuntimeError(
-                                f"agent {agent.id} cannot reach delivery cell")
-                        task.state = TaskState.PICKED_UP
-                        del self._pool[task.id]
-                        agent.carried_task = task.id
-                        reached[agent.id] = True
+        events: list[tuple[tuple[int, int], int]] = []
+        for i, agent in enumerate(self.agents):
+            agent.location = new[i]
+            if moved[i]:
+                events.append(((old[i], new[i]), self.wait_counters[i]))
+                self.wait_counters[i] = 0
+            else:
+                self.wait_counters[i] += 1
+            if self.trace_enabled:
+                kind = "timeout" if timed_out else "move" if moved[i] else "wait"
+                self.trace_rows.append((self.step_idx + 1, i, old[i], new[i], kind))
+
+        # Phase 4: pickups and deliveries at the new locations. A pickup
+        # swaps the goal for the delivery cell; a delivery clears it. After
+        # a timed-out step nothing is found: no location or assignment
+        # changed since the last pass.
+        reached = [False] * cfg.num_agents
+        has_goal = [g is not None for g in goals]
+        cleared = []
+        for agent in self.agents:
+            if agent.is_delivering:
+                task = self.tasks[agent.carried_task]
+                if agent.location == task.delivery:
+                    task.state = TaskState.DELIVERED
+                    del self.tasks[task.id]
+                    self.delivered += 1
+                    if agent.guide_path is not None:
+                        cleared.append(agent.guide_path)
+                    agent.carried_task = None
+                    agent.assigned_task = None
+                    agent.guide_path = None
+                    reached[agent.id] = True
+                    has_goal[agent.id] = False
+            elif agent.assigned_task is not None:
+                task = self.tasks[agent.assigned_task]
+                if agent.location == task.pickup:
+                    if self._component[task.delivery] != self._component[task.pickup]:
+                        raise RuntimeError(
+                            f"agent {agent.id} cannot reach delivery cell")
+                    task.state = TaskState.PICKED_UP
+                    self.picked_up += 1
+                    agent.carried_task = task.id
+                    reached[agent.id] = True
+        self.traffic.remove(cleared)
 
         if cfg.cost_model == "avg-wait":
             update_wait_stats(self.wait_stats, events)
@@ -471,21 +475,31 @@ class Simulation:
     # -- invariants (used heavily by tests) ----------------------------------
 
     def check_invariants(self) -> None:
+        """Assert that the task table, the counters, the agents' tasks and
+        the traffic counts agree, in time linear in the agents and the
+        tasks in play. Each held task is in the table, held once, and
+        picked up exactly when its agent carries it."""
         locs = [a.location for a in self.agents]
         assert len(set(locs)) == len(locs), "agents overlap"
-        counts = {s: 0 for s in TaskState}
-        for t in self.tasks.values():
-            counts[t.state] += 1
-        assert counts[TaskState.DELIVERED] == self.delivered
-        assert list(self._pool) == [t.id for t in self.tasks.values() if t.state
-                                    in (TaskState.POOLED, TaskState.ASSIGNED)]
-        assert list(self.active_ids) == [
-            t.id for t in self.tasks.values() if t.state != TaskState.DELIVERED]
-        assert len(self.tasks) == self.released
+        tasks = self.tasks
+        assert len(tasks) == self.released - self.delivered
+        holders: dict[int, int] = {}
         for agent in self.agents:
-            if agent.carried_task is not None:
-                assert agent.assigned_task == agent.carried_task
-                assert self.tasks[agent.carried_task].state == TaskState.PICKED_UP
+            tid = agent.assigned_task
+            assert agent.carried_task in (None, tid)
+            assert agent.guide_path is None or agent.is_delivering
+            if tid is not None:
+                assert holders.setdefault(tid, agent.id) == agent.id, "task held twice"
+                assert tasks[tid].state is (TaskState.PICKED_UP if agent.is_delivering
+                                            else TaskState.ASSIGNED)
+        states = Counter(t.state for t in tasks.values())
+        assert states[TaskState.DELIVERED] == 0
+        assert states[TaskState.ASSIGNED] + states[TaskState.PICKED_UP] == len(holders)
+        assert len(tasks) - states[TaskState.PICKED_UP] == self.released - self.picked_up
+        fresh = TrafficState(self.grid)
+        fresh.add(a.guide_path for a in self.agents if a.guide_path)
+        assert np.array_equal(fresh.entry_counts, self.traffic.entry_counts)
+        assert np.array_equal(fresh.traversal_counts, self.traffic.traversal_counts)
 
 
 def run(grid: GridMap, config: SimConfig, trace: bool = False) -> SimMetrics:

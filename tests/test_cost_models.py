@@ -39,7 +39,7 @@ def set_waits(stats, e, w, n, stamp=0):
 
 def traffic_from_paths(grid, paths):
     ts = TrafficState(grid)
-    ts.set_paths(paths)
+    ts.add(paths)
     return ts
 
 
@@ -198,10 +198,29 @@ def test_traffic_rebuild_idempotent():
     b = traffic_from_paths(GRID, paths)
     assert a.entry_counts.tolist() == b.entry_counts.tolist()
     assert a.traversal_counts.tolist() == b.traversal_counts.tolist()
-    # Recounting equal copies of the same paths changes nothing.
-    a.set_paths([list(p) for p in paths])
+    # Adding equal copies of the paths and removing the originals, one
+    # call each, leaves the counts as they were.
+    a.add([list(p) for p in paths])
+    a.remove(paths)
     assert a.entry_counts.tolist() == b.entry_counts.tolist()
     assert a.traversal_counts.tolist() == b.traversal_counts.tolist()
+    a.remove([paths[1], paths[0]])
+    assert not a.entry_counts.any() and not a.traversal_counts.any()
+
+
+def test_traffic_remove_below_zero_raises_and_changes_nothing():
+    ts = traffic_from_paths(GRID, [[0, 1, 2], [3, 2]])
+    entries, traversals = ts.entry_counts.tolist(), ts.traversal_counts.tolist()
+    # Cell 1 is entered once, so two removals of [0, 1] take its entry
+    # count below zero; [2, 1] enters it once too, but edge (2, 1) was
+    # never traversed; [0, 1] is counted, but the second path is not.
+    for bad in ([[0, 1], [0, 1]], [[2, 1]], [[0, 1], [4, 5]]):
+        with pytest.raises(ValueError, match="never counted"):
+            ts.remove(bad)
+        assert ts.entry_counts.tolist() == entries
+        assert ts.traversal_counts.tolist() == traversals
+    ts.remove([[3, 2], [0, 1, 2]])
+    assert not ts.entry_counts.any() and not ts.traversal_counts.any()
 
 
 def test_cost_functions_lower_bound_one():
@@ -340,28 +359,26 @@ def test_edge_costs_calls_a_library_model_once(model, monkeypatch):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.data())
-def test_grid_traffic_counts_follow_path_slots(data):
+def test_grid_traffic_counts_follow_added_and_removed_paths(data):
     grid = data.draw(grids())
     pool = data.draw(guide_paths(grid))
     edges = list(grid.directed_edges())
     ts = TrafficState(grid)
-    slots = [None] * data.draw(st.integers(0, 5))
-    # Each call, a slot keeps its path, loses it (a delivery), takes
-    # another list object (re-staging; an equal copy, or a path that
-    # another slot may hold too), or the slot count changes.
-    for _ in range(data.draw(st.integers(1, 5))):
-        for i in range(len(slots)):
-            change = data.draw(st.sampled_from(["keep", "clear", "copy", "pool"]))
-            if change == "clear":
-                slots[i] = None
-            elif change == "copy" and slots[i] is not None:
-                slots[i] = list(slots[i])
-            elif change == "pool" and pool:
-                slots[i] = data.draw(st.sampled_from(pool))
-        size = data.draw(st.integers(0, 6))
-        slots = (slots + [None] * size)[:size]
-        ts.set_paths(slots)
-        entries, traversals = traffic_oracle(p for p in slots if p)
+    counted = []   # every path added and not removed since
+    # Each call adds some paths of the pool (stagings; a path may be added
+    # more than once) or removes some counted ones (deliveries), passed as
+    # equal copies or as the very lists that were added.
+    for _ in range(data.draw(st.integers(1, 8))):
+        if counted and data.draw(st.booleans()):
+            gone = data.draw(st.lists(st.integers(0, len(counted) - 1), unique=True))
+            copies = data.draw(st.booleans())
+            ts.remove([list(counted[i]) if copies else counted[i] for i in gone])
+            counted = [p for i, p in enumerate(counted) if i not in gone]
+        else:
+            added = data.draw(st.lists(st.sampled_from(pool), max_size=4)) if pool else []
+            ts.add(added)
+            counted += added
+        entries, traversals = traffic_oracle(counted)
         assert ts.entry_counts.tolist() == [
             entries[c] for c in range(grid.width * grid.height)]
         # Steps between non-adjacent cells match no edge, so the grid
@@ -450,16 +467,16 @@ def test_grid_states_reject_events_and_edges_off_the_grid():
     row = GridMap(3, 1, [True] * 3)
     with pytest.raises(ValueError):
         update_wait_stats(EdgeWaitStats(row), [((-1, 1), 5)])
-    # A path with a cell off the map raises before it changes the counts or
-    # the counted paths: head -1 would wrap round to cell 2, head 3 is past
+    # A path with a cell off the map raises, added or removed, before it
+    # changes the counts: head -1 would wrap round to cell 2, head 3 is past
     # the end, and tail -1 is no cell either.
     ts = traffic_from_paths(row, [[0, 1]])
     entries, traversals = ts.entry_counts.copy(), ts.traversal_counts.copy()
-    for bad in ([[1, -1]], [[1, 3]], [None, [-1, 1]]):
-        with pytest.raises(ValueError):
-            ts.set_paths(bad)
-        assert ts.entry_counts.tolist() == entries.tolist() == [0, 1, 0]
-        assert ts.traversal_counts.tolist() == traversals.tolist()
-        assert ts._counted == [[0, 1]]
-    ts.set_paths([])
+    for bad in ([[1, -1]], [[1, 3]], [[0, 1], [-1, 1]]):
+        for update in (ts.add, ts.remove):
+            with pytest.raises(ValueError, match="off the map"):
+                update(bad)
+            assert ts.entry_counts.tolist() == entries.tolist() == [0, 1, 0]
+            assert ts.traversal_counts.tolist() == traversals.tolist()
+    ts.remove([[0, 1]])
     assert not ts.entry_counts.any() and not ts.traversal_counts.any()

@@ -62,7 +62,7 @@ def random_walk_traffic(rng, grid, walks, length):
             path.append(rng.choice(grid.neighbors(path[-1]) or [path[-1]]))
         paths.append(path)
     ts = TrafficState(grid)
-    ts.set_paths(paths)
+    ts.add(paths)
     return TrafficCost(ts)
 
 

@@ -1,9 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from mapdflow.mincost_flow import (FlowInfeasibleError, FlowNetwork,
+from mapdflow.mincost_flow import (ArcLayout, FlowInfeasibleError, FlowNetwork,
                                    solve_min_cost_flow, to_dimacs)
 
 from conftest import (flow_cost_oracle, max_flow_oracle, random_flow_network,
@@ -178,6 +179,23 @@ def test_edge_validation():
         net.add_edge(0, 1, 1, -2.0)
     with pytest.raises(ValueError):
         FlowNetwork(num_nodes=3, source=1, sink=1)
+
+
+@pytest.mark.parametrize("tails, heads, costs", [
+    ([0, 0, 1, 2], [1, 2, 3, 3], [5.0, 1.0, -10.0, 1.0]),
+    ([0, 1], [1, 2], [math.nan, 1.0]),
+    ([0, 1], [1, 2], [math.inf, 1.0]),
+], ids=["negative", "nan", "inf"])
+def test_layout_costs_validated_like_added_edges(tails, heads, costs):
+    # A negative layout cost once gave cost 2.0 where the path 0-1-3 costs
+    # -5, and a NaN or infinite one reported a maximum flow of 0, not 1.
+    layout = ArcLayout(max(heads) + 1, tails, heads)
+    with pytest.raises(ValueError, match="edge cost must be finite and nonnegative"):
+        FlowNetwork(num_nodes=layout.num_nodes, source=0, sink=max(heads),
+                    required_flow=1, layout=layout, layout_costs=np.array(costs))
+    net = FlowNetwork(num_nodes=3, source=0, sink=2)
+    with pytest.raises(ValueError, match="edge cost must be finite and nonnegative"):
+        net.add_edge(0, 1, 1, costs[-2])
 
 
 def test_dimacs_dump():

@@ -19,6 +19,17 @@ def line_grid(n):
     return GridMap(n, 1, [True] * n)
 
 
+def step_and_collect(sim, steps):
+    """Step ``sim`` and return every task it held in play at construction
+    or after any step, by id. ``sim.tasks`` drops delivered tasks, so this
+    is how a test sees every task the run released."""
+    seen = dict(sim.tasks)
+    for _ in range(steps):
+        sim.step()
+        seen.update(sim.tasks)
+    return seen
+
+
 def test_config_validation():
     SimConfig().validate()
     for bad in (
@@ -72,11 +83,18 @@ def test_constant_ratio_pool_topped_up():
     grid = random_map(8, 8, 0.1, seed=1)
     cfg = SimConfig(num_agents=4, pool_ratio=1.5, strategy="greedy", horizon=30, seed=3)
     sim = Simulation(grid, cfg)
-    assert sim._pool_size() == 6  # ceil(1.5 * 4)
+
+    def pool_size():
+        return sum(t.state is not TaskState.PICKED_UP for t in sim.tasks.values())
+
+    assert pool_size() == 6  # ceil(1.5 * 4)
+    seen = dict(sim.tasks)
     for _ in range(30):
         sim.step()
-        assert sim._pool_size() == 6
+        seen.update(sim.tasks)
+        assert pool_size() == 6
     sim.check_invariants()
+    assert len(seen) == sim.released and sim.delivered > 0
 
 
 def test_per_step_release_respects_budget():
@@ -97,10 +115,8 @@ def test_release_task_sequence_deterministic():
     grid = random_map(10, 10, 0.2, seed=2)
     def endpoints(seed):
         cfg = SimConfig(num_agents=3, horizon=5, strategy="greedy", seed=seed)
-        sim = Simulation(grid, cfg)
-        for _ in range(5):
-            sim.step()
-        return [(t.pickup, t.delivery) for t in sim.tasks.values()]
+        seen = step_and_collect(Simulation(grid, cfg), 5)
+        return [(t.pickup, t.delivery) for t in seen.values()]
     assert endpoints(9) == endpoints(9)
     assert endpoints(9) != endpoints(10)
 
@@ -134,6 +150,36 @@ def test_zero_budget_times_out_every_step():
     assert [a.location for a in sim.agents] == starts  # everyone paused
 
 
+def test_timed_out_steps_trace_every_agent_in_place():
+    grid = random_map(8, 8, 0.1, seed=1)
+    cfg = SimConfig(num_agents=3, horizon=20, strategy="flow", seed=0,
+                    step_budget=0.0)
+    sim = Simulation(grid, cfg, trace=True)
+    starts = [a.location for a in sim.agents]
+    sim.run()
+    assert sim.trace_rows == [(step, i, c, c, "timeout")
+                              for step in range(1, 21)
+                              for i, c in enumerate(starts)]
+    assert sim.wait_counters == [20] * 3
+    sim.check_invariants()
+
+
+@pytest.mark.parametrize("cost_model", ["unit", "traffic"])
+def test_task_table_stays_bounded_over_a_long_run(cost_model):
+    # Delivered tasks leave the table: it holds at most the constant-ratio
+    # pool plus one carried task per agent, however many were delivered.
+    grid = random_map(10, 10, 0.15, seed=2)
+    cfg = SimConfig(num_agents=6, strategy="flow", cost_model=cost_model,
+                    pool_ratio=1.5, horizon=300, seed=3)
+    sim = Simulation(grid, cfg)
+    bound = math.ceil(cfg.pool_ratio * cfg.num_agents) + cfg.num_agents
+    for _ in range(cfg.horizon):
+        sim.step()
+        assert len(sim.tasks) <= bound
+    sim.check_invariants()
+    assert sim.delivered > 4 * bound
+
+
 def test_generous_budget_never_times_out():
     grid = random_map(8, 8, 0.1, seed=1)
     cfg = SimConfig(num_agents=3, horizon=20, strategy="flow", seed=0,
@@ -155,10 +201,12 @@ def test_task_conservation_every_step():
     grid = random_map(10, 10, 0.2, seed=5)
     cfg = SimConfig(num_agents=6, strategy="flow", horizon=60, seed=4)
     sim = Simulation(grid, cfg)
+    seen = dict(sim.tasks)   # every task released so far
     for _ in range(60):
         sim.step()
         sim.check_invariants()
-        states = [t.state for t in sim.tasks.values()]
+        seen.update(sim.tasks)
+        states = [t.state for t in seen.values()]
         delivered = sum(s == TaskState.DELIVERED for s in states)
         picked = sum(s == TaskState.PICKED_UP for s in states)
         assigned = sum(s == TaskState.ASSIGNED for s in states)
@@ -182,8 +230,8 @@ def test_flow_round_cost_never_exceeds_greedy_view():
     provider = DistanceProvider(grid)
     for _ in range(40):
         available = [a for a in sim.agents if not a.is_delivering]
-        pool = [sim.tasks[t] for t in sim.active_ids
-                if sim.tasks[t].state in (TaskState.POOLED, TaskState.ASSIGNED)]
+        pool = [t for t in sim.tasks.values()
+                if t.state in (TaskState.POOLED, TaskState.ASSIGNED)]
         fa = flow_assign(grid, available, pool)
         ga = greedy_assign(available, pool, provider)
         if len(fa.pairs) == len(ga.pairs):
@@ -361,10 +409,10 @@ def test_disconnected_map_tasks_stay_within_components():
     cfg = SimConfig(num_agents=2, strategy="flow", horizon=40, seed=2)
     sim = Simulation(grid, cfg, preset_starts=[0, 4])
     comp = sim._component
-    metrics = sim.run()
-    for task in sim.tasks.values():
+    seen = step_and_collect(sim, 40)
+    for task in seen.values():
         assert comp[task.pickup] == comp[task.delivery]
-    assert metrics.throughput > 0
+    assert sim.metrics.throughput > 0
     sim.check_invariants()
 
 
@@ -382,9 +430,9 @@ def test_preset_tasks_consumed_in_order():
     assert [(t.pickup, t.delivery) for t in sim.tasks.values()] == [(1, 2), (3, 4)]
 
 
-@pytest.mark.parametrize("preset", [(0, 4), (2, 0), (0, 2)],
+@pytest.mark.parametrize("preset", [(0, 4), (2, 0), (0, 2), (3, 3)],
                          ids=["other-component", "blocked-pickup",
-                              "blocked-delivery"])
+                              "blocked-delivery", "one-cell"])
 def test_preset_task_validated_at_construction(preset):
     grid = parse_map("type octile\nheight 1\nwidth 5\nmap\n..@..\n")
     cfg = SimConfig(num_agents=1, pool_ratio=1.0, horizon=5, seed=0)
@@ -448,8 +496,8 @@ def test_verify_step_rejects_illegal_move(monkeypatch, starts, targets, match):
 @pytest.mark.parametrize("strategy", ["flow", "greedy", "linear"])
 @pytest.mark.parametrize("pool_policy", ["constant-ratio", "per-step"])
 def test_pool_counter_matches_task_states(strategy, pool_policy):
-    # check_invariants compares the pool counter and the active-task order
-    # with a scan of every task's state after each step.
+    # check_invariants compares the task table with the release, pickup
+    # and delivery counters and with the agents' tasks after each step.
     grid = random_map(10, 10, 0.2, seed=7)
     cfg = SimConfig(num_agents=5, strategy=strategy, pool_policy=pool_policy,
                     schedule_period=2, horizon=40, seed=1)
@@ -459,6 +507,36 @@ def test_pool_counter_matches_task_states(strategy, pool_policy):
         sim.step()
         sim.check_invariants()
     assert sim.delivered > 0
+
+
+@pytest.mark.parametrize("fault", ["traffic-count", "pickup-counter",
+                                   "delivered-in-table", "held-but-pooled",
+                                   "held-twice", "path-without-load"])
+def test_check_invariants_catches_a_broken_fact(fault):
+    grid = random_map(12, 12, 0.15, seed=3)
+    cfg = SimConfig(num_agents=8, strategy="greedy", cost_model="traffic",
+                    pool_ratio=2.0, horizon=12, seed=6)
+    sim = Simulation(grid, cfg)
+    sim.run()
+    sim.check_invariants()
+    carrier = next(a for a in sim.agents if a.guide_path)
+    walker = next(a for a in sim.agents
+                  if a.assigned_task is not None and not a.is_delivering)
+    if fault == "traffic-count":
+        sim.traffic.entry_counts[carrier.guide_path[-1]] += 1
+    elif fault == "pickup-counter":
+        sim.picked_up += 1
+    elif fault == "delivered-in-table":
+        next(t for t in sim.tasks.values()
+             if t.state is TaskState.POOLED).state = TaskState.DELIVERED
+    elif fault == "held-but-pooled":
+        sim.tasks[walker.assigned_task].state = TaskState.POOLED
+    elif fault == "held-twice":
+        next(a for a in sim.agents if a.is_free).assigned_task = walker.assigned_task
+    else:
+        walker.guide_path = [walker.location]
+    with pytest.raises(AssertionError):
+        sim.check_invariants()
 
 
 def test_agents_with_one_goal_share_one_heuristic(monkeypatch):
@@ -515,8 +593,8 @@ def test_unit_tables_cached_only_for_active_task_endpoints(monkeypatch, strategy
             if strategy == "flow":
                 assert not cached
             else:
-                endpoints = {c for tid in self.active_ids for c in
-                             (self.tasks[tid].pickup, self.tasks[tid].delivery)}
+                endpoints = {c for t in self.tasks.values()
+                             for c in (t.pickup, t.delivery)}
                 assert cached <= endpoints
         return staged
 
@@ -544,9 +622,9 @@ def test_paths_staged_only_where_read(monkeypatch, strategy, cost_model):
         return real_path(self, source, goal)
 
     monkeypatch.setattr(DistanceProvider, "shortest_path", counted_path)
-    sim.run()
+    seen = step_and_collect(sim, 40)
     sim._stage_guide_paths()   # the legs of the last step's pickups
-    picked = [(t.pickup, t.delivery) for t in sim.tasks.values()
+    picked = [(t.pickup, t.delivery) for t in seen.values()
               if t.state in (TaskState.PICKED_UP, TaskState.DELIVERED)]
     assert picked
     if cost_model == "traffic":

@@ -71,15 +71,6 @@ class AssignmentSet:
     guide_paths: dict[int, list[int]] = field(default_factory=dict)
     total_cost: float = 0.0
 
-    def to_json(self) -> dict:
-        return {
-            "total_cost": self.total_cost,
-            "assignments": [
-                {"agent": a, "task": t, "path": self.guide_paths.get(a)}
-                for a, t in sorted(self.pairs.items())
-            ],
-        }
-
 
 # ---------------------------------------------------------------------------
 # Greedy baseline
@@ -291,12 +282,6 @@ class FlowNetworkBuilder:
             network=net, source_edges=source_edges, sink_edges=self.sink_edges,
             task_cells=pickups[order].tolist(), task_ids=ids[order].tolist(),
             walk_edges=self.walk_edges)
-
-
-def build_flow_network(grid: GridMap, agents: list[Agent], tasks: list[Task],
-                       edge_cost: EdgeCost | None = None) -> GridFlowNetwork:
-    """One-shot flow-network construction (see :class:`FlowNetworkBuilder`)."""
-    return FlowNetworkBuilder(grid).build(agents, tasks, edge_cost)
 
 
 def retrieve_assignments(solution: FlowSolution, net: GridFlowNetwork,

@@ -4,7 +4,8 @@ Comma-separated values for ``--agents``, ``--strategy``, ``--cost`` and
 ``--seed`` expand into a full experiment matrix; each (config, seed) cell
 becomes one row of ``results.csv`` and one entry of the JSON summary.
 Logical-mode outputs zero out wall-clock columns so repeated invocations
-are byte-identical; ``--bench`` reports real solver-time percentiles.
+are byte-identical; ``--bench`` reports real solver-time percentiles per
+agent count and strategy, for one cost model and one seed.
 """
 
 from __future__ import annotations
@@ -166,23 +167,24 @@ def _results_line(row: dict) -> str:
 
 
 def bench_scaling(grid: GridMap, agent_counts: list[int], strategies: list[str],
-                  cost_model: str = "unit", rounds: int = 20,
-                  seed: int = 0) -> list[dict]:
+                  rounds: int = 20, base: SimConfig | None = None) -> list[dict]:
     """Solver-time percentiles per (strategy, agent count).
 
     Each of the ``rounds`` measurements is the assignment phase of a
     freshly seeded simulation, so every solve sees the full team and a
     full task pool; mid-run states would mostly contain delivering agents
-    and hide the solver's scaling in team size.
+    and hide the solver's scaling in team size. Every simulation is
+    ``base`` (default :class:`SimConfig`) with the team size, the strategy
+    and one step set, and the seeds ``base.seed``, ``base.seed + 1``, ...
     """
+    base = base or SimConfig()
     out = []
     for strategy in strategies:
         for n in agent_counts:
             times = []
             for rep in range(rounds):
-                config = SimConfig(num_agents=n, strategy=strategy,
-                                   cost_model=cost_model, horizon=1,
-                                   seed=seed + rep)
+                config = replace(base, num_agents=n, strategy=strategy,
+                                 horizon=1, seed=base.seed + rep)
                 sim = Simulation(grid, config)
                 times.append(sim.step().solver_time * 1000)
             p50, p95, pmax = _percentiles(times)
@@ -198,6 +200,9 @@ def run_cli(argv: list[str] | None = None) -> int:
     for flag in ("agents", "strategy", "cost", "seed"):
         if not getattr(args, flag):
             parser.error(f"--{flag} needs at least one value")
+    for flag in ("cost", "seed"):
+        if args.bench and len(getattr(args, flag)) > 1:
+            parser.error(f"--{flag} takes one value with --bench")
     for strategy in args.strategy:
         if strategy not in STRATEGIES:
             parser.error(f"unknown strategy {strategy!r}")
@@ -241,8 +246,7 @@ def run_cli(argv: list[str] | None = None) -> int:
 
     if args.bench:
         rows = bench_scaling(grid, args.agents, args.strategy,
-                             cost_model=args.cost[0], rounds=args.bench_steps,
-                             seed=args.seed[0])
+                             rounds=args.bench_steps, base=configs[0])
         text = BENCH_HEADER + "".join(
             f"{r['strategy']},{r['agents']},{r['solves']},"
             f"{r['p50_ms']:.3f},{r['p95_ms']:.3f},{r['max_ms']:.3f}\n"

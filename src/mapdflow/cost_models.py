@@ -4,17 +4,14 @@ Every model returns costs >= 1 on every edge, so unit cost (no model at
 all) is the common lower bound and flow networks never see costs below 1.
 
 Both states hold arrays over a grid's cells and edge ids, updated only
-where something changes. The scalar formulas (:func:`fcost`, :func:`pcost`
-and the terms they add up) each read one cell or edge of them; a pair of
-cells that is not an edge has no traffic and no waits. :class:`TrafficCost`
-and :class:`AvgWaitCost`, called once with the grid's own edge arrays (as
-:meth:`mapdflow.grid_map.GridMap.edge_costs` does), return a float64 array
-equal to the scalar formula on every edge, bit for bit.
+where something changes. A model, :class:`TrafficCost` or
+:class:`AvgWaitCost`, is called once with the grid's own edge arrays (as
+:meth:`mapdflow.grid_map.GridMap.edge_costs` does) and returns one float64
+array over the edge ids: a state's costs exist only in that form.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
@@ -22,11 +19,6 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .grid_map import GridMap
-
-
-def _edge_id(grid: GridMap, e: tuple[int, int]) -> int:
-    """The id of edge ``e``, or -1 where the pair is not an edge."""
-    return int(grid.edge_ids([e[0]], [e[1]])[0])
 
 
 def _check_own_edges(grid: GridMap, tails, heads) -> None:
@@ -85,28 +77,6 @@ class TrafficState:
             raise ValueError("removing a path that was never counted")
 
 
-def vertex_congestion(v: int, ts: TrafficState) -> float:
-    """Expected delay entering ``v``: ceil((n_v - 1) / 2), clamped at 0."""
-    n_v = ts.entry_counts[v] if 0 <= v < len(ts.entry_counts) else 0
-    if n_v <= 1:
-        return 0.0
-    return float(math.ceil((n_v - 1) / 2))
-
-
-def contraflow(e: tuple[int, int], ts: TrafficState) -> float:
-    """Opposing-traffic penalty: product of the two directional counts."""
-    i = _edge_id(ts.grid, e)
-    if i < 0:
-        return 0.0
-    t = ts.traversal_counts
-    return float(t[i] * t[ts.grid.reverse[i]])
-
-
-def fcost(e: tuple[int, int], ts: TrafficState) -> float:
-    """Planner-estimate edge cost: 1 + vertex congestion at the head + contraflow."""
-    return 1.0 + vertex_congestion(e[1], ts) + contraflow(e, ts)
-
-
 class EdgeWaitStats:
     """Per-edge decayed waiting statistics observed during execution.
 
@@ -151,18 +121,6 @@ class EdgeWaitStats:
             ages = np.minimum(ages, len(self._powers) - 1)
         return self._powers[ages]
 
-    def _current(self, values: np.ndarray, e: tuple[int, int]) -> float:
-        i = _edge_id(self.grid, e)
-        if i < 0:
-            return 0.0
-        return float(values[i] * self.decay(self.epoch - self.stamp[i]))
-
-    def wait_total(self, e: tuple[int, int]) -> float:
-        return self._current(self.w, e)
-
-    def traversal_count(self, e: tuple[int, int]) -> float:
-        return self._current(self.n, e)
-
     def apply_window(self, events: Iterable[tuple[tuple[int, int], int]]) -> None:
         """Advance one epoch: decay everything, add this epoch's events.
 
@@ -203,17 +161,11 @@ def update_wait_stats(stats: EdgeWaitStats,
     return stats
 
 
-def pcost(e: tuple[int, int], stats: EdgeWaitStats) -> float:
-    """Historical average-traversal-time edge cost: 1 + W_e/N_e (1 if unseen)."""
-    n = stats.traversal_count(e)
-    if n <= 0.0:
-        return 1.0
-    return 1.0 + stats.wait_total(e) / n
-
-
 class TrafficCost:
-    """Congestion-estimate edge cost (:func:`fcost`) over a traffic state,
-    read as it is at the call."""
+    """Congestion-estimate edge cost over a traffic state, read as it is at
+    the call: 1, plus the vertex congestion ``ceil((n_v - 1) / 2)`` of the
+    head ``v`` (0 for ``n_v <= 1``), plus the contraflow product of the
+    edge's traversal count and its reverse's."""
 
     def __init__(self, ts: TrafficState):
         self.ts = ts
@@ -228,8 +180,8 @@ class TrafficCost:
 
 
 class AvgWaitCost:
-    """Average-observed-waiting edge cost (:func:`pcost`) over wait
-    statistics.
+    """Average-observed-waiting edge cost over wait statistics: 1 + W/N on
+    an edge with decayed traversals N > 0, else 1.
 
     Each call reads the statistics as they are at that moment. The
     simulator evaluates the model once per scheduling round into a cost

@@ -15,7 +15,7 @@ such an array (see :class:`DistanceProvider`).
 
 from __future__ import annotations
 
-from typing import Callable, Container, Iterator, Union
+from typing import Callable, Container, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -46,7 +46,8 @@ class GridMap:
         width: Number of columns.
         height: Number of rows.
         free: Per-cell traversability, indexed row-major (``y * width + x``).
-        labels: Sparse map of cell index to label character ('E' or 'S').
+        labels: Sparse map of free cell index to label character ('E' or
+            'S'); any other cell or character raises ``ValueError``.
         indptr: CSR row pointers; the out-edges of cell ``v`` have the ids
             ``indptr[v]:indptr[v + 1]``.
         heads, tails: Head and tail cell of every directed edge, by edge id.
@@ -68,6 +69,11 @@ class GridMap:
         self.free = list(free)
         self.labels = dict(labels or {})
         size = width * height
+        for v, label in self.labels.items():
+            if label not in ("E", "S"):
+                raise ValueError(f"cell {v} has label {label!r}, not 'E' or 'S'")
+            if not (0 <= v < size and self.free[v]):
+                raise ValueError(f"label on cell {v}, which is blocked or off the map")
         mask = np.array(self.free, dtype=bool)
         self._free_cells = np.flatnonzero(mask).tolist()
 
@@ -144,10 +150,6 @@ class GridMap:
         if not self.is_free(v):
             raise ValueError(f"cell {v} is blocked or out of range")
         return self._neighbors[v]
-
-    def directed_edges(self) -> Iterator[tuple[int, int]]:
-        """All traversable directed edges ``(tail, head)`` in edge-id order."""
-        return zip(self.tails.tolist(), self.heads.tolist())
 
     def num_directed_edges(self) -> int:
         return len(self.heads)
@@ -273,7 +275,9 @@ class DistanceProvider:
     """Cached distance-to-goal tables under fixed edge costs.
 
     The costs are taken once, at construction, as an array aligned to the
-    grid's edge ids (see :meth:`GridMap.edge_costs`). Each goal's table is
+    grid's edge ids (see :meth:`GridMap.edge_costs`). Each is at least 1,
+    as every cost model's is: the path descent compares sums with a fixed
+    tolerance, so it must not meet a cost near 0. Each goal's table is
     one Dijkstra from the goal over the transposed graph, so arc costs stay
     in the forward travel direction, and is cached per goal cell until
     :meth:`retain` drops it. Also extracts concrete shortest paths by
@@ -283,6 +287,8 @@ class DistanceProvider:
     def __init__(self, grid: GridMap, edge_cost: EdgeCost | None = None):
         self.grid = grid
         self.costs = grid.edge_costs(edge_cost)
+        if (self.costs < 1).any():
+            raise ValueError("distance tables need edge costs of at least 1")
         # The transposed graph has the same layout, since every edge has
         # its reverse; edge v -> u carries the cost of travelling u -> v.
         self._backward = grid.adjacency(self.costs[grid.reverse])

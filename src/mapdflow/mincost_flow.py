@@ -45,7 +45,6 @@ import sys
 import threading
 from bisect import insort
 from dataclasses import dataclass, field
-from functools import cached_property
 from heapq import heappush, heappop
 
 import numpy as np
@@ -71,16 +70,15 @@ class ArcLayout:
     """Residual arcs of a fixed set of edges, laid out once.
 
     Edge ``e`` has forward arc ``2e`` (tail to head) and reverse arc
-    ``2e + 1``. ``arc_head[a]`` is the head of arc ``a``, and ``adj[v]``
-    lists the arcs leaving node ``v`` by ascending arc id. Both are
-    read-only once built.
+    ``2e + 1``. ``arc_head[a]`` is the head of arc ``a``, read-only once
+    built.
 
     The layout also owns the residual workspace that every solve of a
     network on it borrows: arc heads, residuals and costs of the layout
     arcs, as lists, the capacities and costs they were loaded with, each
-    node's scan list, and per-node solver scratch. A scan list is ``adj``
-    less its reverse arcs and its forward arcs of zero loaded capacity; a
-    solve inserts reverse arcs as they gain residual capacity. A solve
+    node's scan list, and per-node solver scratch. A scan list holds the
+    node's forward arcs of nonzero loaded capacity, by arc id; a solve
+    inserts reverse arcs as they gain residual capacity. A solve
     loads costs and capacities only where they differ from the last
     solve's and appends its network's own arcs. Before it returns or
     raises it truncates its own arcs and resets the residuals, scan lists
@@ -122,16 +120,6 @@ class ArcLayout:
         self._adj = [forward[ptr[v]:ptr[v + 1]] for v in range(num_nodes)]
         self._drop_scratch()
         self._busy = threading.Lock()      # held by the solve using the workspace
-
-    @cached_property
-    def adj(self) -> list[list[int]]:
-        """Each node's arcs by arc id, built on first read: no solve reads
-        it, since a scan list holds only arcs that can carry flow."""
-        # the tail of arc a is the head of arc a ^ 1
-        arc_tail = np.array(self.arc_head, dtype=np.int64).reshape(-1, 2)[:, ::-1].ravel()
-        order = np.argsort(arc_tail, kind="stable").tolist()
-        ptr = [0] + np.cumsum(np.bincount(arc_tail, minlength=self.num_nodes)).tolist()
-        return [order[ptr[v]:ptr[v + 1]] for v in range(self.num_nodes)]
 
     def _load(self, costs: np.ndarray, caps: np.ndarray) -> None:
         """Load edge costs and capacities where they differ from the loaded
@@ -188,16 +176,14 @@ class ArcLayout:
 class FlowNetwork:
     """Directed network with integer capacities and nonnegative real costs.
 
-    ``capacity=None`` marks an effectively unbounded edge; it is bounded at
-    solve time by the largest amount the network could be asked to carry
-    (the required flow value), which no single edge ever needs to exceed.
-
     Edges ``0 .. layout.num_edges - 1`` are the shared prefix, with costs
     ``layout_costs`` and capacities ``layout_caps``: one int64 array over
-    the layout edges, in which :data:`UNBOUNDED` marks an unbounded edge;
-    by default every layout edge is unbounded. Edges added with
-    :meth:`add_edge` follow. ``tails``, ``heads``, ``capacities`` and
-    ``costs`` read every edge as a new list.
+    the layout edges; by default every layout edge is unbounded. Edges
+    added with :meth:`add_edge` follow, where ``capacity=None`` marks an
+    unbounded edge. Either way an unbounded edge is stored as
+    :data:`UNBOUNDED`, which no flow of at most the required value binds.
+    ``tails``, ``heads``, ``capacities`` and ``costs`` read every edge as
+    a new list, with ``None`` for an unbounded capacity.
     """
 
     num_nodes: int
@@ -209,7 +195,7 @@ class FlowNetwork:
     layout_caps: np.ndarray | None = None
     _tails: list[int] = field(default_factory=list, init=False, repr=False)
     _heads: list[int] = field(default_factory=list, init=False, repr=False)
-    _caps: list[int | None] = field(default_factory=list, init=False, repr=False)
+    _caps: list[int] = field(default_factory=list, init=False, repr=False)
     _costs: list[float] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
@@ -251,7 +237,7 @@ class FlowNetwork:
     @property
     def capacities(self) -> list[int | None]:
         return [None if c == UNBOUNDED else c
-                for c in self.layout_caps.tolist()] + self._caps
+                for c in self.layout_caps.tolist() + self._caps]
 
     @property
     def costs(self) -> list[float]:
@@ -266,7 +252,7 @@ class FlowNetwork:
             raise ValueError("edge cost must be finite and nonnegative")
         self._tails.append(u)
         self._heads.append(v)
-        self._caps.append(capacity)
+        self._caps.append(UNBOUNDED if capacity is None else capacity)
         self._costs.append(float(cost))
         return self.num_edges - 1
 
@@ -334,13 +320,11 @@ class _PrimalDualSolver:
         self.it, self.dead, self.on_path = layout._it, layout._dead, layout._on_path
         self.adj, self.head, self.res, self.cost = (
             layout._adj, layout._head, layout._res, layout._cost)
-        tails, heads, k = net._tails, net._heads, len(own)
+        tails, heads, caps, k = net._tails, net._heads, net._caps, len(own)
         a = len(self.head)
         pair = [0] * (2 * k)    # own edge i as its arcs a + 2i and a + 2i + 1
         pair[0::2], pair[1::2] = heads, tails
         self.head += pair
-        bound = net.required_flow
-        caps = [bound if cap is None else cap for cap in net._caps]
         pair[0::2], pair[1::2] = caps, [0] * k
         self.res += pair
         pair[0::2], pair[1::2] = own, [-c for c in own]

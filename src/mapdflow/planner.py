@@ -126,7 +126,8 @@ def pibt_step(grid: GridMap, locations: list[int],
     Agents with a heuristic prefer cells with lower heuristic value, ties
     resolved by the map's canonical neighbor order with waiting last;
     agents without one prefer to wait. Output locations are guaranteed
-    vertex-collision-free and edge-swap-free.
+    vertex-collision-free and edge-swap-free. The interpreter's recursion
+    limit is raised for the step and restored before it returns or raises.
     """
     n = len(locations)
     occupied_now: dict[int, int] = {}
@@ -136,10 +137,6 @@ def pibt_step(grid: GridMap, locations: list[int],
         occupied_now[cell] = i
     reserved: dict[int, int] = {}
     next_loc: list[int | None] = [None] * n
-
-    limit = 5 * n + 1000  # inheritance chains can span the whole team
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
 
     def candidates(i: int) -> list[int]:
         cur = locations[i]
@@ -176,12 +173,18 @@ def pibt_step(grid: GridMap, locations: list[int],
         return False
 
     order = sorted(range(n), key=lambda i: -priorities[i])
-    for i in order:
-        if next_loc[i] is None:
-            plan(i, None)
-    # ``plan`` refers to itself through its closure; emptying that cell
-    # frees the step's heuristics now rather than at the next collection.
-    del plan
+    old_limit = sys.getrecursionlimit()
+    # inheritance chains can span the whole team
+    sys.setrecursionlimit(max(old_limit, 5 * n + 1000))
+    try:
+        for i in order:
+            if next_loc[i] is None:
+                plan(i, None)
+    finally:
+        sys.setrecursionlimit(old_limit)
+        # ``plan`` refers to itself through its closure; emptying that cell
+        # frees the step's heuristics now rather than at the next collection.
+        del plan
 
     new_locations = [next_loc[i] if next_loc[i] is not None else locations[i]
                      for i in range(n)]

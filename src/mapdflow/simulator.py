@@ -208,8 +208,7 @@ class Simulation:
         self.edge_cost = None   # per-edge cost array, evaluated each round
         # Distance tables have two readers: greedy's pickup costs and the
         # traffic model's delivery legs.
-        self._unit_provider = DistanceProvider(grid)
-        self.provider = self._unit_provider
+        self.provider = DistanceProvider(grid)
         self.builder = FlowNetworkBuilder(grid) if config.strategy == "flow" else None
 
         self.step_idx = 0
@@ -285,9 +284,8 @@ class Simulation:
         self.edge_cost = self._round_cost_model()
         if cfg.strategy == "greedy" and cfg.cost_model == "unit":
             # Unit tables outlive the round only for goals still in play.
-            self._unit_provider.retain({c for t in self.tasks.values()
-                                        for c in (t.pickup, t.delivery)})
-            self.provider = self._unit_provider
+            self.provider.retain({c for t in self.tasks.values()
+                                  for c in (t.pickup, t.delivery)})
         elif cfg.strategy == "greedy" or cfg.cost_model == "traffic":
             self.provider = DistanceProvider(self.grid, self.edge_cost)
 
@@ -500,8 +498,3 @@ class Simulation:
         fresh.add(a.guide_path for a in self.agents if a.guide_path)
         assert np.array_equal(fresh.entry_counts, self.traffic.entry_counts)
         assert np.array_equal(fresh.traversal_counts, self.traffic.traversal_counts)
-
-
-def run(grid: GridMap, config: SimConfig, trace: bool = False) -> SimMetrics:
-    """Run one simulation to completion and return its metrics."""
-    return Simulation(grid, config, trace=trace).run()

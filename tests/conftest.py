@@ -49,6 +49,11 @@ def bfs_components(grid):
     return comp
 
 
+def directed_edges(grid):
+    """The map's directed edges as ``(tail, head)`` pairs, by edge id."""
+    return list(zip(grid.tails.tolist(), grid.heads.tolist()))
+
+
 def random_grid(rng, width, height, obstacle=0.2):
     free = [rng.random() > obstacle for _ in range(width * height)]
     if not any(free):

@@ -4,14 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from mapdflow.assignment import (Agent, FlowNetworkBuilder, Task,
-                                 build_flow_network, flow_assign,
+from mapdflow.assignment import (Agent, FlowNetworkBuilder, Task, flow_assign,
                                  greedy_assign, linear_assignment,
                                  retrieve_assignments)
 from mapdflow.grid_map import DistanceProvider, GridMap
 from mapdflow.mincost_flow import solve_min_cost_flow
 
-from conftest import assignment_oracle, bfs_distances, random_grid
+from conftest import assignment_oracle, bfs_distances, directed_edges, random_grid
 
 
 class StubProvider:
@@ -147,7 +146,7 @@ def test_linear_handles_unreachable_with_max_matching():
 def test_build_flow_network_node_edge_counts(open3x3):
     agents = [Agent(id=0, location=0)]
     tasks = [Task(id=0, pickup=8, delivery=0)]
-    gnet = build_flow_network(open3x3, agents, tasks)
+    gnet = FlowNetworkBuilder(open3x3).build(agents, tasks)
     net = gnet.network
     assert net.num_nodes == 9 + 2
     assert net.num_edges == 24 + 9 + 1
@@ -165,12 +164,12 @@ def test_build_flow_required_is_min_of_agents_tasks():
     rng = random.Random(2)
     grid = random_grid(rng, 6, 6, obstacle=0.0)
     agents, tasks = make_instance(rng, grid, 2, 3)
-    gnet = build_flow_network(grid, agents, tasks)
+    gnet = FlowNetworkBuilder(grid).build(agents, tasks)
     assert gnet.network.required_flow == 2
 
 
 def test_build_flow_zero_agents_required_zero(open3x3):
-    gnet = build_flow_network(open3x3, [], [Task(id=0, pickup=1, delivery=2)])
+    gnet = FlowNetworkBuilder(open3x3).build([], [Task(id=0, pickup=1, delivery=2)])
     assert gnet.network.required_flow == 0
     sol = solve_min_cost_flow(gnet.network)
     assert sol.value == 0 and sol.total_cost == 0.0
@@ -180,20 +179,20 @@ def test_build_flow_reduces_required_when_disconnected():
     grid = GridMap(5, 1, [True, True, False, True, True])
     agents = [Agent(id=0, location=0), Agent(id=1, location=1)]
     tasks = [Task(id=0, pickup=3, delivery=4), Task(id=1, pickup=0, delivery=1)]
-    gnet = build_flow_network(grid, agents, tasks)
+    gnet = FlowNetworkBuilder(grid).build(agents, tasks)
     assert gnet.network.required_flow == 1  # only task 1 is on the agents' island
 
 
 def test_build_flow_rejects_shared_agent_cell(open3x3):
     agents = [Agent(id=0, location=0), Agent(id=1, location=0)]
     with pytest.raises(ValueError, match="share cell"):
-        build_flow_network(open3x3, agents, [Task(id=0, pickup=1, delivery=2)])
+        FlowNetworkBuilder(open3x3).build(agents, [Task(id=0, pickup=1, delivery=2)])
 
 
 def test_build_flow_rejects_delivering_agent(open3x3):
     agents = [Agent(id=0, location=0, carried_task=5, assigned_task=5)]
     with pytest.raises(ValueError, match="delivering"):
-        build_flow_network(open3x3, agents, [Task(id=0, pickup=1, delivery=2)])
+        FlowNetworkBuilder(open3x3).build(agents, [Task(id=0, pickup=1, delivery=2)])
 
 
 @pytest.mark.parametrize("agents, tasks, message", [
@@ -224,7 +223,7 @@ def test_retrieve_single_agent_unique_path():
     grid = GridMap(4, 1, [True] * 4)
     agents = [Agent(id=0, location=0)]
     tasks = [Task(id=0, pickup=3, delivery=0)]
-    gnet = build_flow_network(grid, agents, tasks)
+    gnet = FlowNetworkBuilder(grid).build(agents, tasks)
     sol = solve_min_cost_flow(gnet.network)
     aset = retrieve_assignments(sol, gnet, agents)
     assert aset.pairs == {0: 0}
@@ -260,7 +259,7 @@ def test_retrieve_crossing_flows_consume_everything():
               Agent(id=1, location=grid.index(1, 1))]
     tasks = [Task(id=0, pickup=grid.index(4, 1), delivery=0),
              Task(id=1, pickup=grid.index(3, 1), delivery=0)]
-    gnet = build_flow_network(grid, agents, tasks)
+    gnet = FlowNetworkBuilder(grid).build(agents, tasks)
     sol = solve_min_cost_flow(gnet.network)
     aset = retrieve_assignments(sol, gnet, agents)
     assert sorted(aset.pairs) == [0, 1]
@@ -348,20 +347,9 @@ def test_flow_equivalence_under_directed_random_costs():
         grid = random_grid(rng, 5, 5)
         agents, tasks = make_instance(
             rng, grid, rng.randint(1, 3), rng.randint(1, 4))
-        costs = {(u, v): 1.0 + 4.0 * rng.random() for u, v in grid.directed_edges()}
-        arr = np.array([costs[e] for e in grid.directed_edges()])
+        costs = {(u, v): 1.0 + 4.0 * rng.random() for u, v in directed_edges(grid)}
+        arr = np.array([costs[e] for e in directed_edges(grid)])
         fa = flow_assign(grid, agents, tasks, arr)
         la = linear_assignment(agents, tasks, grid, arr)
         assert fa.total_cost == pytest.approx(la.total_cost, rel=1e-6)
 
-
-def test_assignment_set_json_round_trip(open3x3):
-    agents = [Agent(id=0, location=0)]
-    tasks = [Task(id=0, pickup=8, delivery=0)]
-    aset = flow_assign(open3x3, agents, tasks)
-    blob = aset.to_json()
-    assert blob["assignments"][0]["agent"] == 0
-    assert blob["assignments"][0]["task"] == 0
-    assert blob["assignments"][0]["path"][0] == 0
-    import json
-    json.dumps(blob)

@@ -1,11 +1,16 @@
 import json
 import os
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+from mapdflow import cli
 from mapdflow.cli import SUMMARY_SCHEMA, bench_scaling, build_parser, run_cli
 from mapdflow.mapgen import random_map
+from mapdflow.simulator import Simulation
+
+WAREHOUSE = str(Path(__file__).resolve().parent.parent / "maps" / "warehouse_21x35.map")
 
 
 @pytest.fixture
@@ -149,6 +154,39 @@ def test_bench_cli_output(map_file, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == "strategy,agents,solves,p50_ms,p95_ms,max_ms"
     assert len(out) == 3
+
+
+@pytest.mark.parametrize("flag, values", [("--cost", "unit,avg-wait"),
+                                          ("--seed", "1,2")])
+def test_bench_takes_one_cost_and_one_seed(map_file, capsys, flag, values):
+    # A bench row has no cost or seed column, so a second value is refused
+    # rather than dropped.
+    with pytest.raises(SystemExit) as err:
+        run_cli(["--map", map_file, "--bench", "--bench-steps", "1", flag, values])
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_bench_rounds_carry_the_run_flags(monkeypatch, capsys):
+    configs = []
+
+    class Recorded(Simulation):
+        def __init__(self, grid, config, **kwargs):
+            configs.append(config)
+            super().__init__(grid, config, **kwargs)
+
+    monkeypatch.setattr(cli, "Simulation", Recorded)
+    rc = run_cli(["--map", WAREHOUSE, "--bench", "--agents", "20",
+                  "--strategy", "flow", "--cost", "avg-wait", "--seed", "5",
+                  "--task-dist", "labeled-es", "--gamma", "0.5",
+                  "--pool-ratio", "2", "--release-f", "3", "--bench-steps", "2"])
+    assert rc == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert [(c.num_agents, c.strategy, c.cost_model, c.seed, c.horizon,
+             c.task_distribution, c.gamma, c.pool_ratio, c.pool_policy,
+             c.release_per_step) for c in configs] == [
+        (20, "flow", "avg-wait", seed, 1, "labeled-es", 0.5, 2.0, "per-step", 3)
+        for seed in (5, 6)]
 
 
 def test_parser_has_spec_flags():

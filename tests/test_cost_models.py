@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapdflow.cost_models import (AvgWaitCost, EdgeWaitStats, TrafficCost,
-                                  TrafficState, contraflow, fcost, pcost,
-                                  update_wait_stats, vertex_congestion)
+                                  TrafficState, update_wait_stats)
 from mapdflow.grid_map import GridMap
 
-from conftest import WaitOracle, fcost_oracle, random_grid, traffic_oracle
+from conftest import (WaitOracle, directed_edges, fcost_oracle, random_grid,
+                      traffic_oracle)
 
 # Two rows of six open cells: the pairs the formula tests name, such as
 # (1, 2) and (2, 3), are edges of the top row.
@@ -19,7 +19,7 @@ GRID = GridMap(6, 2, [True] * 12)
 
 
 def edge_id(grid, e):
-    return list(grid.directed_edges()).index(e)
+    return directed_edges(grid).index(e)
 
 
 def traffic(entries=(), traversals=()):
@@ -43,6 +43,25 @@ def traffic_from_paths(grid, paths):
     return ts
 
 
+def fcost_at(ts, e):
+    """The traffic model's cost array, read at edge ``e``."""
+    grid = ts.grid
+    return TrafficCost(ts)(grid.tails, grid.heads)[edge_id(grid, e)]
+
+
+def pcost_at(stats, e):
+    """The avg-wait model's cost array, read at edge ``e``."""
+    grid = stats.grid
+    return AvgWaitCost(stats)(grid.tails, grid.heads)[edge_id(grid, e)]
+
+
+def current(stats, e):
+    """The decayed wait total and traversal count of edge ``e``."""
+    i = edge_id(stats.grid, e)
+    factor = stats.decay(stats.epoch - stats.stamp[i])
+    return float(stats.w[i] * factor), float(stats.n[i] * factor)
+
+
 def test_unit_cost_is_one():
     # Unit cost is no model at all: every edge costs 1.
     grid = GridMap(4, 2, [True] * 8)
@@ -50,69 +69,75 @@ def test_unit_cost_is_one():
 
 
 def test_vertex_congestion_formula():
-    assert vertex_congestion(5, traffic({5: 1})) == 0.0
-    assert vertex_congestion(5, traffic({5: 4})) == 2.0
-    assert vertex_congestion(5, traffic()) == 0.0
-    assert vertex_congestion(5, traffic({5: 2})) == 1.0
-    assert vertex_congestion(5, traffic({5: 3})) == 1.0
+    # With no traversals, an edge into cell 5 costs 1 plus the vertex
+    # congestion at 5.
+    for n_v, congestion in ((1, 0.0), (4, 2.0), (0, 0.0), (2, 1.0), (3, 1.0)):
+        assert fcost_at(traffic({5: n_v}), (4, 5)) == 1.0 + congestion
 
 
 def test_contraflow_formula():
+    # With no entries, an edge costs 1 plus its contraflow.
     ts = traffic(traversals={(1, 2): 2, (2, 1): 3})
-    assert contraflow((1, 2), ts) == 6.0
-    assert contraflow((2, 1), ts) == 6.0  # symmetric
-    assert contraflow((1, 2), traffic(traversals={(1, 2): 4})) == 0.0
-    assert contraflow((1, 2), traffic(traversals={(1, 2): 1, (2, 1): 1})) == 1.0
+    assert fcost_at(ts, (1, 2)) == 1.0 + 6.0
+    assert fcost_at(ts, (2, 1)) == 1.0 + 6.0  # symmetric
+    assert fcost_at(traffic(traversals={(1, 2): 4}), (1, 2)) == 1.0 + 0.0
+    assert fcost_at(traffic(traversals={(1, 2): 1, (2, 1): 1}), (1, 2)) == 1.0 + 1.0
 
 
 def test_fcost_formula():
-    assert fcost((1, 2), traffic()) == 1.0
+    assert fcost_at(traffic(), (1, 2)) == 1.0
     ts = traffic(entries={2: 3}, traversals={(1, 2): 1, (2, 1): 2})
-    assert fcost((1, 2), ts) == 4.0
-    assert fcost((1, 2), traffic(entries={2: 1})) == 1.0
+    assert fcost_at(ts, (1, 2)) == 4.0
+    assert fcost_at(traffic(entries={2: 1}), (1, 2)) == 1.0
 
 
 def test_pcost_formula():
     stats = EdgeWaitStats(GRID)
-    assert pcost((1, 2), stats) == 1.0
+    assert pcost_at(stats, (1, 2)) == 1.0
     set_waits(stats, (1, 2), 4.0, 2.0)
-    assert pcost((1, 2), stats) == 3.0
+    assert pcost_at(stats, (1, 2)) == 3.0
     set_waits(stats, (3, 4), 0.0, 5.0)
-    assert pcost((3, 4), stats) == 1.0
+    assert pcost_at(stats, (3, 4)) == 1.0
 
 
-def test_scalar_reads_of_a_pair_that_is_no_edge():
-    # A jump, a pair off the map and a cell to itself have no traffic and
-    # no waits, however busy the cells around them are. The last edge,
-    # (11, 10), is busy too: id -1 must not wrap round to it.
-    ts = traffic_from_paths(GRID, [[0, 1, 2, 8, 7], [7, 8, 2, 1, 0], [0, 3],
-                                   [10, 11, 10]])
+def test_pairs_that_are_no_edge_carry_no_traffic():
+    # A jump, a pair off the map and a cell to itself have no edge id, so
+    # no cost of their own; a jump in a path is an entry but no traversal.
+    # The last edge, (11, 10), is busy too: id -1 must not wrap round to it.
+    pairs = ((0, 2), (0, 3), (2, 2), (-1, 0), (5, 6), (11, 12), (1, -1))
+    assert GRID.edge_ids(*zip(*pairs)).tolist() == [-1] * len(pairs)
+    paths = [[0, 1, 2, 8, 7], [7, 8, 2, 1, 0], [0, 3], [10, 11, 10]]
+    ts = traffic_from_paths(GRID, paths)
+    assert ts.traversal_counts.sum() == 10 and ts.entry_counts.sum() == 11
+    entries, traversals = traffic_oracle(paths)
+    assert TrafficCost(ts)(GRID.tails, GRID.heads).tolist() == [
+        fcost_oracle(e, entries, traversals) for e in directed_edges(GRID)]
+    assert fcost_at(ts, (1, 2)) == 1.0 + 1.0 + 1.0   # congestion at 2, contraflow
+    assert fcost_at(ts, (11, 10)) == 1.0 + 0.0 + 1.0
     stats = EdgeWaitStats(GRID)
     stats.apply_window([((1, 2), 4), ((2, 1), 1), ((0, 1), 2), ((11, 10), 3)])
-    for e in ((0, 2), (0, 3), (2, 2), (-1, 0), (5, 6), (11, 12), (1, -1)):
-        assert contraflow(e, ts) == 0.0
-        assert stats.wait_total(e) == stats.traversal_count(e) == 0.0
-        assert pcost(e, stats) == 1.0
-    assert fcost((0, 3), ts) == 1.0 + vertex_congestion(3, ts)
-    assert vertex_congestion(-1, ts) == vertex_congestion(12, ts) == 0.0
-    assert contraflow((1, 2), ts) == 1.0 and pcost((1, 2), stats) == 5.0
+    busy = {(1, 2): 5.0, (2, 1): 2.0, (0, 1): 3.0, (11, 10): 4.0}
+    assert AvgWaitCost(stats)(GRID.tails, GRID.heads).tolist() == [
+        busy.get(e, 1.0) for e in directed_edges(GRID)]
 
 
 def test_decay_update_matches_closed_form():
     stats = EdgeWaitStats(GRID, gamma=0.9)
     set_waits(stats, (1, 2), 10.0, 2.0)
     update_wait_stats(stats, [((1, 2), 2)])
-    assert stats.wait_total((1, 2)) == pytest.approx(11.0)
-    assert stats.traversal_count((1, 2)) == pytest.approx(2.8)
+    w, n = current(stats, (1, 2))
+    assert w == pytest.approx(11.0)
+    assert n == pytest.approx(2.8)
 
 
 def test_decay_without_events():
     stats = EdgeWaitStats(GRID, gamma=0.9)
     update_wait_stats(stats, [((0, 1), 3)])
-    w0, n0 = stats.wait_total((0, 1)), stats.traversal_count((0, 1))
+    w0, n0 = current(stats, (0, 1))
     update_wait_stats(stats, [])
-    assert stats.wait_total((0, 1)) == pytest.approx(0.9 * w0)
-    assert stats.traversal_count((0, 1)) == pytest.approx(0.9 * n0)
+    w, n = current(stats, (0, 1))
+    assert w == pytest.approx(0.9 * w0)
+    assert n == pytest.approx(0.9 * n0)
 
 
 def test_decay_k_windows_geometric():
@@ -120,12 +145,13 @@ def test_decay_k_windows_geometric():
     for gamma in (0.5, 0.9, 1.0):
         stats = EdgeWaitStats(GRID, gamma=gamma)
         update_wait_stats(stats, [((2, 3), 4)])
-        w0, n0 = stats.wait_total((2, 3)), stats.traversal_count((2, 3))
+        w0, n0 = current(stats, (2, 3))
         k = 7
         for _ in range(k):
             update_wait_stats(stats, [])
-        assert stats.wait_total((2, 3)) == pytest.approx(gamma ** k * w0)
-        assert stats.traversal_count((2, 3)) == pytest.approx(gamma ** k * n0)
+        w, n = current(stats, (2, 3))
+        assert w == pytest.approx(gamma ** k * w0)
+        assert n == pytest.approx(gamma ** k * n0)
 
 
 @pytest.mark.parametrize("gamma", [0.9, 0.99, 1.0])
@@ -172,8 +198,7 @@ def test_order_independence_within_window():
     rng.shuffle(shuffled)
     update_wait_stats(b, shuffled)
     for e in {(1, 2), (2, 3)}:
-        assert a.wait_total(e) == pytest.approx(b.wait_total(e))
-        assert a.traversal_count(e) == pytest.approx(b.traversal_count(e))
+        assert current(a, e) == pytest.approx(current(b, e))
 
 
 def test_traffic_state_from_guide_paths():
@@ -183,7 +208,7 @@ def test_traffic_state_from_guide_paths():
     assert ts.entry_counts[2] == 2
     assert ts.traversal_counts[edge_id(GRID, (1, 2))] == 2
     assert ts.traversal_counts[edge_id(GRID, (2, 1))] == 1
-    assert contraflow((1, 2), ts) == 2.0
+    assert fcost_at(ts, (1, 2)) == 1.0 + 1.0 + 2.0   # congestion at 2, contraflow
 
 
 def test_traffic_state_revisits_count_again():
@@ -225,38 +250,34 @@ def test_traffic_remove_below_zero_raises_and_changes_nothing():
 
 def test_cost_functions_lower_bound_one():
     rng = random.Random(1)
-    edges = set(GRID.directed_edges())
+    edges = set(directed_edges(GRID))
     ts = traffic(
         entries={v: rng.randint(0, 5) for v in range(10)},
         traversals={(u, v): rng.randint(0, 3) for u in range(5) for v in range(5)
                     if (u, v) in edges})
     stats = EdgeWaitStats(GRID)
     update_wait_stats(stats, [((1, 2), 4), ((0, 1), 0)])
-    for u in range(5):
-        for v in range(5):
-            assert fcost((u, v), ts) >= 1.0
-            assert pcost((u, v), stats) >= 1.0
+    assert (TrafficCost(ts)(GRID.tails, GRID.heads) >= 1.0).all()
+    assert (AvgWaitCost(stats)(GRID.tails, GRID.heads) >= 1.0).all()
 
 
 def test_fcost_empty_traffic_equals_unit_everywhere():
     grid = GridMap(4, 3, [True] * 12)
     ts = TrafficState(grid)
     assert (grid.edge_costs(TrafficCost(ts)) == 1.0).all()
-    assert all(fcost(e, ts) == 1.0 for e in grid.directed_edges())
 
 
 def test_avg_wait_cost_fresh_equals_unit():
     grid = GridMap(4, 3, [True] * 12)
     stats = EdgeWaitStats(grid)
     assert (grid.edge_costs(AvgWaitCost(stats)) == 1.0).all()
-    assert all(pcost(e, stats) == 1.0 for e in grid.directed_edges())
 
 
 def test_cost_arrays_equal_scalar_formulas_edge_by_edge():
     rng = random.Random(9)
     for _ in range(5):
         grid = random_grid(rng, 7, 6, 0.15)
-        edges = list(grid.directed_edges())
+        edges = directed_edges(grid)
         # Random walks over the map give overlapping, opposing traffic.
         paths = []
         for _ in range(8):
@@ -274,13 +295,12 @@ def test_cost_arrays_equal_scalar_formulas_edge_by_edge():
         traffic_arr = grid.edge_costs(TrafficCost(ts))
         wait_arr = grid.edge_costs(AvgWaitCost(stats))
         for e, edge in enumerate(edges):
-            assert traffic_arr[e] == fcost(edge, ts) == fcost_oracle(
-                edge, entries, traversals)
-            assert wait_arr[e] == pcost(edge, stats) == oracle.pcost(edge)
+            assert traffic_arr[e] == fcost_oracle(edge, entries, traversals)
+            assert wait_arr[e] == oracle.pcost(edge)
         assert (traffic_arr > 1.0).any() and (wait_arr > 1.0).any()
 
 
-# -- one array call over a map's edges equals the scalar formulas -------------
+# -- one array call over a map's edges equals the oracles' formulas -----------
 
 @st.composite
 def grids(draw):
@@ -316,7 +336,7 @@ def test_traffic_array_equals_fcost_edge_by_edge(data):
     grid = data.draw(grids())
     paths = data.draw(guide_paths(grid))
     entries, traversals = traffic_oracle(paths)
-    edges = list(grid.directed_edges())
+    edges = directed_edges(grid)
     ts = traffic_from_paths(grid, paths)
     # The counts are those of a plain loop over the paths.
     assert ts.entry_counts.tolist() == [entries[c]
@@ -326,7 +346,6 @@ def test_traffic_array_equals_fcost_edge_by_edge(data):
     arr = grid.edge_costs(TrafficCost(ts))
     assert arr.dtype == np.float64
     assert arr.tolist() == want
-    assert [fcost(e, ts) for e in edges] == want
 
 
 GRID3 = GridMap(3, 3, [True] * 9)
@@ -362,7 +381,7 @@ def test_edge_costs_calls_a_library_model_once(model, monkeypatch):
 def test_grid_traffic_counts_follow_added_and_removed_paths(data):
     grid = data.draw(grids())
     pool = data.draw(guide_paths(grid))
-    edges = list(grid.directed_edges())
+    edges = directed_edges(grid)
     ts = TrafficState(grid)
     counted = []   # every path added and not removed since
     # Each call adds some paths of the pool (stagings; a path may be added
@@ -394,7 +413,7 @@ def test_grid_traffic_counts_follow_added_and_removed_paths(data):
 def draw_wait_stats(data, grid):
     """Wait statistics on ``grid`` and a :class:`WaitOracle`, fed the same
     events and then the same hand-written entries."""
-    edges = list(grid.directed_edges())
+    edges = directed_edges(grid)
     gamma = data.draw(st.one_of(st.just(1.0),
                                 st.floats(0.0, 1.0, exclude_min=True)))
     on_grid, plain = EdgeWaitStats(grid, gamma=gamma), WaitOracle(gamma)
@@ -423,14 +442,12 @@ def draw_wait_stats(data, grid):
 def test_grid_wait_stats_equal_dict_stats_edge_by_edge(data):
     grid = data.draw(grids())
     on_grid, plain = draw_wait_stats(data, grid)
-    edges = list(grid.directed_edges())
+    edges = directed_edges(grid)
     want_w = [plain.read(plain.w, e) for e in edges]
     want_n = [plain.read(plain.n, e) for e in edges]
     factor = on_grid.decay(on_grid.epoch - on_grid.stamp)
     assert (on_grid.w * factor).tolist() == want_w
     assert (on_grid.n * factor).tolist() == want_n
-    assert [on_grid.wait_total(e) for e in edges] == want_w
-    assert [on_grid.traversal_count(e) for e in edges] == want_n
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -438,12 +455,11 @@ def test_grid_wait_stats_equal_dict_stats_edge_by_edge(data):
 def test_avg_wait_array_equals_pcost_edge_by_edge(data):
     grid = data.draw(grids())
     on_grid, plain = draw_wait_stats(data, grid)
-    want = [plain.pcost(e) for e in grid.directed_edges()]
-    with np.errstate(over="ignore"):   # W / N may overflow, as in pcost
+    want = [plain.pcost(e) for e in directed_edges(grid)]
+    with np.errstate(over="ignore"):   # W / N may overflow, as in the oracle
         arr = AvgWaitCost(on_grid)(grid.tails, grid.heads)
     assert arr.dtype == np.float64
     assert arr.tolist() == want
-    assert [pcost(e, on_grid) for e in grid.directed_edges()] == want
     if all(map(math.isfinite, want)):
         assert grid.edge_costs(AvgWaitCost(on_grid)).tolist() == want
 

@@ -1,9 +1,9 @@
 """The quick demos run to completion; demo 04's output is pinned.
 
-Demo 04 prints congestion costs read one edge at a time from states kept
-on a small open map, through the scalar formulas, so its exact output
-guards that API. Demos 06 and
-07 run full simulations for 15-20 s each and are left out.
+Demo 04 prints congestion costs read at single edge ids from the cost
+models' arrays over a small open map, so its exact output guards those
+numbers. Demos 06 and 07 run full simulations for 15-20 s each and are
+left out.
 """
 
 import os

@@ -25,15 +25,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapdflow import SimConfig, Simulation, mincost_flow, parse_map, simulator
-from mapdflow.assignment import (Agent, FlowNetworkBuilder, Task,
-                                 build_flow_network, flow_assign)
+from mapdflow.assignment import Agent, FlowNetworkBuilder, Task, flow_assign
 from mapdflow.cost_models import (AvgWaitCost, EdgeWaitStats, TrafficCost,
                                   TrafficState, update_wait_stats)
 from mapdflow.grid_map import GridMap
 from mapdflow.mincost_flow import (UNBOUNDED, ArcLayout, FlowInfeasibleError,
                                    FlowNetwork, solve_min_cost_flow)
 
-from conftest import max_flow_oracle, residual_has_negative_cycle
+from conftest import directed_edges, max_flow_oracle, residual_has_negative_cycle
 
 MAPS = Path(__file__).resolve().parent.parent / "maps"
 
@@ -135,7 +134,7 @@ def test_builder_network_matches_network_simplex(case):
     rng = random.Random(n_agents)
     agents, tasks = random_instance(rng, grid, n_agents, n_agents * 3 // 2)
     model = random_walk_traffic(rng, grid, n_agents, 30) if cost == "traffic" else None
-    net = build_flow_network(grid, agents, tasks, model).network
+    net = FlowNetworkBuilder(grid).build(agents, tasks, model).network
     sol = solve_min_cost_flow(net)
     assert sol.value == net.required_flow == max_flow_oracle(net) == n_agents
     assert_feasible_flow(net, sol)
@@ -145,7 +144,7 @@ def test_builder_network_matches_network_simplex(case):
 def test_split_map_required_flow_is_max_flow():
     grid, agents, tasks = split_instance()
     assert int(grid.component.max()) + 1 == 3
-    net = build_flow_network(grid, agents, tasks).network
+    net = FlowNetworkBuilder(grid).build(agents, tasks).network
     # min(8, 3) on the left plus min(2, 6) on the right; the island has no task
     assert net.required_flow == 5 < min(len(agents), len(tasks))
     sol = solve_min_cost_flow(net)
@@ -262,7 +261,7 @@ def draw_agents_and_tasks(draw, cells):
 def draw_wait_costs(draw, grid):
     """Decayed average waits, as AvgWaitCost computes them each round."""
     stats = EdgeWaitStats(grid, gamma=draw(st.floats(0.05, 1.0)))
-    edges = list(grid.directed_edges())
+    edges = directed_edges(grid)
     for _ in range(draw(st.integers(0, 5))):
         events = draw(st.lists(st.tuples(st.sampled_from(edges),
                                          st.integers(0, 9)), max_size=12)
@@ -291,7 +290,7 @@ def grid_instances(draw, real_costs=False):
 @given(grid_instances())
 def test_flow_assign_guide_paths_match_the_solution(instance):
     grid, agents, tasks, costs = instance
-    required = build_flow_network(grid, agents, tasks, costs).network.required_flow
+    required = FlowNetworkBuilder(grid).build(agents, tasks, costs).network.required_flow
     aset = flow_assign(grid, agents, tasks, costs)
     assert len(aset.pairs) == required
     assert len(set(aset.pairs.values())) == len(aset.pairs)
@@ -314,7 +313,7 @@ def test_flow_assign_guide_paths_match_the_solution(instance):
 @given(grid_instances(real_costs=True))
 def test_real_costs_solve_to_a_certified_optimum(instance):
     grid, agents, tasks, costs = instance
-    net = build_flow_network(grid, agents, tasks, costs).network
+    net = FlowNetworkBuilder(grid).build(agents, tasks, costs).network
     sol = solve_min_cost_flow(net)   # raises "augmentation stalled" if stuck
     assert sol.value == net.required_flow
     assert_feasible_flow(net, sol)
@@ -332,7 +331,11 @@ def outcome(net):
 def loaded_scan_lists(layout, caps):
     """Each node's scan list in a layout loaded with ``caps`` and holding no
     flow: its forward arcs of nonzero capacity, by arc id."""
-    return [[a for a in arcs if not a & 1 and caps[a >> 1]] for arcs in layout.adj]
+    lists = [[] for _ in range(layout.num_nodes)]
+    for e in range(layout.num_edges):
+        if caps[e]:
+            lists[layout.arc_head[2 * e + 1]].append(2 * e)   # the tail's list
+    return lists
 
 
 def assert_workspace_as_built(layout, net=None):

@@ -6,7 +6,8 @@ import pytest
 
 from mapdflow.grid_map import DistanceProvider, GridMap, MapParseError, parse_map
 
-from conftest import bfs_components, bfs_distances, dijkstra_oracle, random_grid
+from conftest import (bfs_components, bfs_distances, dijkstra_oracle, directed_edges,
+                      random_grid)
 
 MAP_3X3_RING = "type octile\nheight 3\nwidth 3\nmap\n...\n.@.\n...\n"
 
@@ -37,6 +38,19 @@ def test_parse_labels_kept():
     assert grid.num_free == 4
     assert grid.cells_with_label("E") == [1]
     assert grid.cells_with_label("S") == [2]
+
+
+@pytest.mark.parametrize("labels", [{2: "S"}, {5: "E"}, {99: "E"}, {-1: "S"},
+                                    {0: "Q"}, {0: "."}, {2: "S", 5: "E", 99: "Q"}],
+                         ids=["blocked-S", "blocked-E", "past-end", "negative",
+                              "Q", "dot", "all"])
+def test_labels_only_E_or_S_on_free_cells(labels):
+    # A label on a blocked cell would spawn tasks there; one other than E
+    # or S would write a map that parse_map rejects.
+    free = [True, True, False, True, True, False]
+    with pytest.raises(ValueError):
+        GridMap(3, 2, free, labels=labels)
+    assert GridMap(3, 2, free, labels={0: "S", 4: "E"}).labels == {0: "S", 4: "E"}
 
 
 def test_parse_blocked_characters():
@@ -114,7 +128,7 @@ def test_neighbors_blocked_cell_is_usage_error(ring3x3):
 
 def cost_array(grid, costs):
     """The ``(tail, head) -> cost`` dict ``costs`` as one array over edge ids."""
-    return np.array([costs[e] for e in grid.directed_edges()])
+    return np.array([costs[e] for e in directed_edges(grid)])
 
 
 def test_shortest_distances_open_grid_corner(open3x3):
@@ -141,11 +155,26 @@ def test_shortest_distances_unreachable_absent():
     assert provider.shortest_path(2, 0) is None
 
 
+@pytest.mark.parametrize("cost", [0.0, 1e-13, 1e-6, 0.999])
+def test_distance_provider_rejects_costs_below_one(cost):
+    # The path descent compares sums with a fixed 1e-12 tolerance: at cost
+    # 0 or 1e-13 it never reached the goal, though the distance read 0.
+    grid = GridMap(4, 3, [True] * 12)
+    costs = np.ones(grid.num_directed_edges())
+    costs[5] = cost
+    with pytest.raises(ValueError, match="at least 1"):
+        DistanceProvider(grid, costs)
+    with pytest.raises(ValueError, match="at least 1"):
+        DistanceProvider(grid, lambda tails, heads: np.full(len(tails), cost))
+    costs[5] = 1.0
+    assert DistanceProvider(grid, costs).shortest_path(0, 11) == [0, 1, 2, 3, 7, 11]
+
+
 def test_shortest_distances_weighted_matches_oracle():
     rng = random.Random(11)
     for _ in range(15):
         grid = random_grid(rng, 6, 6)
-        costs = {(u, v): 1.0 + 3.0 * rng.random() for u, v in grid.directed_edges()}
+        costs = {(u, v): 1.0 + 3.0 * rng.random() for u, v in directed_edges(grid)}
         provider = DistanceProvider(grid, cost_array(grid, costs))
         src = rng.choice(grid.free_cells)
         want = dijkstra_oracle(grid, src, lambda u, v: costs[(u, v)])
@@ -178,7 +207,7 @@ def test_open_map_unit_distance_is_manhattan():
 def test_distance_provider_matches_forward_search_with_directed_costs():
     rng = random.Random(21)
     grid = random_grid(rng, 6, 6)
-    costs = {(u, v): float(rng.randint(1, 4)) for u, v in grid.directed_edges()}
+    costs = {(u, v): float(rng.randint(1, 4)) for u, v in directed_edges(grid)}
     provider = DistanceProvider(grid, cost_array(grid, costs))
     cells = grid.free_cells
     for _ in range(10):
@@ -229,8 +258,7 @@ def test_edge_ids_follow_directed_edges_order():
     for obstacle in (0.0, 0.2, 0.5):
         grid = random_grid(rng, 7, 5, obstacle)
         want = edge_order_oracle(grid)
-        assert list(zip(grid.tails.tolist(), grid.heads.tolist())) == want
-        assert list(grid.directed_edges()) == want
+        assert directed_edges(grid) == want
         assert grid.num_directed_edges() == len(want)
         assert grid.indptr[0] == 0 and grid.indptr[-1] == len(want)
         assert [want[r] for r in grid.reverse.tolist()] == [(u, v) for v, u in want]
@@ -280,11 +308,11 @@ def test_edge_costs_unit_callable_and_array():
     grid = random_grid(rng, 5, 5)
     m = grid.num_directed_edges()
     assert (grid.edge_costs(None) == 1.0).all() and grid.edge_costs().shape == (m,)
-    costs = {e: 1.0 + rng.random() for e in grid.directed_edges()}
+    costs = {e: 1.0 + rng.random() for e in directed_edges(grid)}
     arr = grid.edge_costs(lambda tails, heads: [
         costs[e] for e in zip(tails.tolist(), heads.tolist())])
     assert arr.dtype == np.float64
-    assert arr.tolist() == [costs[e] for e in grid.directed_edges()]
+    assert arr.tolist() == [costs[e] for e in directed_edges(grid)]
     assert grid.edge_costs(arr) is arr
 
 
@@ -301,7 +329,7 @@ def test_edge_costs_evaluates_callable_once_per_edge():
     grid.edge_costs(model)
     assert len(calls) == 1
     assert calls[0][0] is grid.tails and calls[0][1] is grid.heads
-    assert list(zip(*(a.tolist() for a in calls[0]))) == list(grid.directed_edges())
+    assert list(zip(*(a.tolist() for a in calls[0]))) == list(directed_edges(grid))
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
@@ -329,7 +357,7 @@ def test_distance_provider_array_costs_match_callable():
     rng = random.Random(44)
     for _ in range(5):
         grid = random_grid(rng, 6, 6)
-        costs = {e: 1.0 + 3.0 * rng.random() for e in grid.directed_edges()}
+        costs = {e: 1.0 + 3.0 * rng.random() for e in directed_edges(grid)}
         cost_fn = lambda v, u: costs[(v, u)]
         by_fn = DistanceProvider(grid, lambda tails, heads: cost_array(grid, costs))
         by_arr = DistanceProvider(grid, cost_array(grid, costs))

@@ -167,6 +167,10 @@ def test_unbounded_capacity_bounded_by_required_flow():
     sol = solve_min_cost_flow(net)
     assert sol.flow == [4, 4]
     assert sol.total_cost == 8.0
+    # An unbounded edge reads as None, and the dump bounds it by the
+    # required flow.
+    assert net.capacities == [4, None]
+    assert "a 2 3 0 4 1" in to_dimacs(net).splitlines()
 
 
 def test_edge_validation():

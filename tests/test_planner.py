@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import weakref
 
 import pytest
@@ -291,6 +292,40 @@ def test_step_frees_its_heuristics_without_the_cyclic_collector():
         assert [r() for r in refs] == [None] * 3
     finally:
         gc.enable()
+
+
+class RecordingHeuristic:
+    """Unit distance to ``goal`` on an open row; each query records the
+    recursion limit, and raises once ``fail`` is set."""
+
+    def __init__(self, goal, fail=False):
+        self.goal, self.fail, self.limits = goal, fail, []
+
+    def value(self, cell):
+        self.limits.append(sys.getrecursionlimit())
+        if self.fail:
+            raise RuntimeError("heuristic failed")
+        return abs(cell - self.goal)
+
+
+def test_step_restores_the_recursion_limit():
+    # Inheritance chains may recurse through the whole team, so the limit
+    # is raised during a step, and set back before it returns or raises.
+    grid = GridMap(4, 1, [True] * 4)
+    saved = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(1000)
+        for fail in (False, True):
+            h = RecordingHeuristic(3, fail)
+            if fail:
+                with pytest.raises(RuntimeError, match="heuristic failed"):
+                    pibt_step(grid, [0, 1], [h, None], [2.0, 1.0])
+            else:
+                pibt_step(grid, [0, 1], [h, None], [2.0, 1.0])
+            assert h.limits and min(h.limits) >= 5 * 2 + 1000
+            assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def test_head_on_corridor_with_pocket_no_swap():

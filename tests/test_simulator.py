@@ -8,9 +8,9 @@ from mapdflow.assignment import AssignmentSet, TaskState
 from mapdflow.grid_map import DistanceProvider, GridMap, parse_map
 from mapdflow.mapgen import random_map, warehouse_map
 from mapdflow.planner import ActionStep
-from mapdflow.simulator import SimConfig, Simulation, run
+from mapdflow.simulator import SimConfig, Simulation
 
-from conftest import WaitOracle, fcost_oracle, traffic_oracle
+from conftest import WaitOracle, directed_edges, fcost_oracle, traffic_oracle
 
 MAPS = Path(__file__).resolve().parent.parent / "maps"
 
@@ -134,7 +134,7 @@ def test_schedule_period_counts_rounds():
 def test_logical_mode_no_timeouts():
     grid = random_map(8, 8, 0.1, seed=1)
     cfg = SimConfig(num_agents=3, horizon=50, strategy="flow", seed=0)
-    metrics = run(grid, cfg)
+    metrics = Simulation(grid, cfg).run()
     assert metrics.timeout_count == 0
 
 
@@ -184,7 +184,7 @@ def test_generous_budget_never_times_out():
     grid = random_map(8, 8, 0.1, seed=1)
     cfg = SimConfig(num_agents=3, horizon=20, strategy="flow", seed=0,
                     step_budget=60.0)
-    metrics = run(grid, cfg)
+    metrics = Simulation(grid, cfg).run()
     assert metrics.timeout_count == 0
     assert metrics.throughput > 0
 
@@ -192,7 +192,7 @@ def test_generous_budget_never_times_out():
 def test_horizon_zero_throughput_zero():
     grid = random_map(8, 8, 0.1, seed=1)
     cfg = SimConfig(num_agents=2, horizon=0, strategy="flow", seed=0)
-    metrics = run(grid, cfg)
+    metrics = Simulation(grid, cfg).run()
     assert metrics.throughput == 0
     assert metrics.steps == []
 
@@ -242,8 +242,8 @@ def test_flow_round_cost_never_exceeds_greedy_view():
 def test_determinism_byte_identical_csv():
     grid = random_map(10, 10, 0.2, seed=5)
     cfg = SimConfig(num_agents=5, strategy="flow", horizon=40, seed=12)
-    a = run(grid, cfg).csv_text(logical=True)
-    b = run(grid, cfg).csv_text(logical=True)
+    a = Simulation(grid, cfg).run().csv_text(logical=True)
+    b = Simulation(grid, cfg).run().csv_text(logical=True)
     assert a == b
     assert a.startswith("step,throughput,assignment_cost,solver_ms,timeouts\n")
 
@@ -253,7 +253,7 @@ def test_strategies_complete_tasks_on_warehouse():
     for strategy in ("greedy", "linear", "flow"):
         cfg = SimConfig(num_agents=6, strategy=strategy, horizon=120, seed=2,
                         task_distribution="labeled-es")
-        metrics = run(grid, cfg)
+        metrics = Simulation(grid, cfg).run()
         assert metrics.throughput > 0, strategy
 
 
@@ -262,7 +262,7 @@ def test_makespan_mode_release_schedule_lower_bound():
     grid = warehouse_map()
     cfg = SimConfig(num_agents=20, strategy="flow", pool_policy="per-step",
                     release_per_step=2, task_budget=500, horizon=4000, seed=1)
-    metrics = run(grid, cfg)
+    metrics = Simulation(grid, cfg).run()
     assert metrics.makespan is not None
     assert metrics.makespan >= 250
     assert metrics.throughput == 500
@@ -272,7 +272,7 @@ def test_makespan_none_when_unfinished():
     grid = random_map(8, 8, 0.1, seed=1)
     cfg = SimConfig(num_agents=1, strategy="greedy", pool_policy="per-step",
                     release_per_step=5, task_budget=400, horizon=30, seed=0)
-    metrics = run(grid, cfg)
+    metrics = Simulation(grid, cfg).run()
     assert metrics.makespan is None
     assert len(metrics.steps) == 30
 
@@ -334,7 +334,7 @@ def test_round_costs_equal_a_from_scratch_reference(monkeypatch, cost_model, per
         return update(stats, events)
 
     monkeypatch.setattr(simulator, "update_wait_stats", update_both)
-    edges = list(grid.directed_edges())
+    edges = directed_edges(grid)
     round_costs = sim._round_cost_model
     highest = []
 
@@ -589,7 +589,7 @@ def test_unit_tables_cached_only_for_active_task_endpoints(monkeypatch, strategy
         staged = real_stage(self)
         if self.step_idx % period == 0:   # this step ran a round
             rounds += 1
-            cached = set(self._unit_provider._tables)
+            cached = set(self.provider._tables)
             if strategy == "flow":
                 assert not cached
             else:

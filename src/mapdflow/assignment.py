@@ -15,7 +15,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from .grid_map import DistanceProvider, EdgeCost, GridMap
@@ -136,8 +135,11 @@ def linear_assignment(agents: list[Agent], tasks: list[Task], grid: GridMap,
 
     Unreachable pairs are excluded; when no full matching of size
     min(n, m) exists the maximum matching over reachable pairs is
-    returned (still at minimum cost).
+    returned (still at minimum cost). ``scipy.optimize`` loads on the
+    first call, so flow and greedy runs never import it.
     """
+    from scipy.optimize import linear_sum_assignment
+
     if not agents or not tasks:
         return AssignmentSet()
     agents = sorted(agents, key=lambda a: a.id)

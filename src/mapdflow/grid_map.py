@@ -15,6 +15,7 @@ such an array (see :class:`DistanceProvider`).
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Callable, Container, Union
 
 import numpy as np
@@ -45,9 +46,12 @@ class GridMap:
     Attributes:
         width: Number of columns.
         height: Number of rows.
-        free: Per-cell traversability, indexed row-major (``y * width + x``).
-        labels: Sparse map of free cell index to label character ('E' or
-            'S'); any other cell or character raises ``ValueError``.
+        free: Per-cell traversability, a tuple indexed row-major
+            (``y * width + x``).
+        labels: Map of free cell index to label character ('E'
+            or 'S'); any other cell or character raises ``ValueError``.
+            Both are read-only, as everything below is derived from them
+            at construction: writing either raises ``TypeError``.
         indptr: CSR row pointers; the out-edges of cell ``v`` have the ids
             ``indptr[v]:indptr[v + 1]``.
         heads, tails: Head and tail cell of every directed edge, by edge id.
@@ -66,8 +70,8 @@ class GridMap:
             raise ValueError("cell count does not match width x height")
         self.width = width
         self.height = height
-        self.free = list(free)
-        self.labels = dict(labels or {})
+        self.free = tuple(free)
+        self.labels = MappingProxyType(dict(labels or {}))
         size = width * height
         for v, label in self.labels.items():
             if label not in ("E", "S"):
@@ -118,6 +122,10 @@ class GridMap:
         rank[np.argsort(first)] = np.arange(len(first))
         self.component = np.full(size, -1, dtype=np.int64)
         self.component[mask] = rank[inverse]
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle; the map rebuilds from its cells.
+        return GridMap, (self.width, self.height, self.free, dict(self.labels))
 
     # -- basic queries ----------------------------------------------------
 

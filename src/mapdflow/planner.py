@@ -8,21 +8,38 @@ resulting step never contains a vertex collision or an edge swap.
 Movement preferences come from a guide-path heuristic, which for a path
 of unit moves is the unit distance to the path's last cell, so it is
 built from that goal alone. Each goal's field is one breadth-first
-search from the goal in C, kept as its tree of predecessors; a query
-reads a cell's depth off that tree.
+search from the goal in C, kept at one byte a cell: a cell's direction
+to its search-tree predecessor until a read resolves it to its distance
+mod 3. On a 4-connected grid every neighbour is one step nearer or one
+step farther (the +-1 rule), so that residue orders an agent's moves,
+and PIBT reads "which neighbours are nearer" with no sort and no
+distance.
 """
 
 from __future__ import annotations
 
 import sys
-from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from math import inf
 
 import numpy as np
 from scipy.sparse.csgraph import breadth_first_order
 
 from .grid_map import GridMap
+
+# Field codes below 5 are directions to the search-tree predecessor; 5 + d % 3
+# is a resolved cell at unit distance d.
+_RESOLVED = 5
+
+
+@lru_cache(maxsize=4)
+def _cell_ids_less_two(size: int) -> np.ndarray:
+    """``arange(size) - 2``, read-only; kept, as each field of a map needs
+    it and building it is a measurable share of a small map's field."""
+    ids = np.arange(-2, size - 2, dtype=np.int32)
+    ids.flags.writeable = False
+    return ids
 
 
 class GuideHeuristic:
@@ -36,15 +53,22 @@ class GuideHeuristic:
     heuristic takes only the goal, and ``value(c)`` is the unit distance
     from ``c`` to it.
 
-    Construction runs one breadth-first search from the goal over the
-    map's unit graph (every edge has its reverse, so distances from the
-    goal are distances to it). The field is one ``array('i')`` over the
-    map's cells, 4 bytes a cell, and each entry is one of: the cell's
-    predecessor in the search tree (>= 0); -1 for a blocked cell or one
-    the goal cannot reach; or ``-2 - d`` once the cell's distance ``d`` is
-    known, which the goal is from the start. A tree depth is the exact
-    unit distance, so ``value(c)`` follows predecessors up to the first
-    known distance and writes the distances back along the way.
+    A 4-connected grid is bipartite, so a neighbour of ``c`` is exactly
+    one step nearer the goal or one step farther from it (the +-1 rule),
+    and ``d % 3`` tells the two apart. The field keeps only that: one
+    ``bytearray`` over the map's cells, a byte a cell. Construction runs
+    one breadth-first search from the goal over the map's unit graph
+    (every edge has its reverse, so distances from the goal are distances
+    to it) and stores each reached cell's direction to its predecessor in
+    the search tree as its offset plus 2, clamped to 0..4 (N, W, -, E, S);
+    the goal holds its resolved code ``5 + 0``. A read follows directions
+    up to the first resolved code and writes ``5 + d % 3`` back along the
+    way. Blocked cells and cells the goal cannot reach are never read:
+    reachability comes from ``grid.component``.
+
+    :meth:`candidates` gives PIBT a cell's moves nearest first without a
+    sort. :meth:`value` stays exact, walking downhill to the goal at O(d)
+    per read; only tests and demos read it.
 
     Raises:
         ValueError: On a goal that is blocked or off the map.
@@ -54,35 +78,70 @@ class GuideHeuristic:
         if not grid.is_free(goal):
             raise ValueError(f"goal {goal} is blocked or off the map")
         self.goal = goal
+        self._neighbors = grid._neighbors
+        self._component = grid.component
+        self._goal_component = int(grid.component[goal])
+        # Offsets of the direction codes; decoding by offset keeps a
+        # width-1 map, where -W == -1, correct.
+        self._step = (-grid.width, -1, 0, 1, grid.width)
         _, pred = breadth_first_order(grid.unit_graph, goal, directed=True,
                                       return_predecessors=True)
-        # scipy marks unreached cells, and the goal itself, with -9999.
-        np.maximum(pred, -1, out=pred)
-        pred[goal] = -2
-        self._field = array("i", pred.astype("intc", copy=False).tobytes())
+        # Offset to the predecessor plus 2, clamped to 0..4: 0 is -W (N),
+        # 1 is -1 (W), 3 is +1 (E) and 4 is +W (S). Unreached cells clamp
+        # to 0; they are never read.
+        t = np.subtract(pred, _cell_ids_less_two(len(pred)), out=pred)
+        np.maximum(t, 0, out=t)
+        np.minimum(t, 4, out=t)
+        self._field = bytearray(t.astype(np.uint8))
+        self._field[goal] = _RESOLVED
+
+    def _resolve(self, cell: int) -> int:
+        """Resolved code ``5 + d % 3`` of a reachable ``cell``, written
+        back along the predecessor chain the read follows."""
+        field, step = self._field, self._step
+        chain = []
+        code = field[cell]
+        while code < _RESOLVED:
+            chain.append(cell)
+            cell += step[code]
+            code = field[cell]
+        for c in reversed(chain):
+            code = code + 1 if code < _RESOLVED + 2 else _RESOLVED
+            field[c] = code
+        return code
+
+    def candidates(self, cell: int) -> list[int]:
+        """``cell``'s neighbours and ``cell`` itself, nearest the goal
+        first: the nearer neighbours in N, E, S, W order, then ``cell``,
+        then the rest. That is ``sorted(neighbors + [cell], key=value)``.
+        Off the goal's component every value is inf, and the order is
+        ``neighbors + [cell]``."""
+        neighbors = self._neighbors[cell]
+        field = self._field
+        code = field[cell]
+        if code < _RESOLVED:
+            if self._component[cell] != self._goal_component:
+                return neighbors + [cell]
+            code = self._resolve(cell)
+        nearer_code = code - 1 if code > _RESOLVED else _RESOLVED + 2
+        nearer, farther = [], []
+        for u in neighbors:
+            c = field[u]
+            if c < _RESOLVED:
+                c = self._resolve(u)
+            (nearer if c == nearer_code else farther).append(u)
+        nearer.append(cell)
+        return nearer + farther
 
     def value(self, cell: int) -> float:
         """Heuristic value at ``cell`` (inf if unreachable or off the map)."""
-        if cell < 0:
+        if not (0 <= cell < len(self._field)
+                and self._component[cell] == self._goal_component):
             return inf
-        field = self._field
-        try:
-            got = field[cell]
-        except IndexError:
-            return inf
-        if got <= -2:
-            return -2.0 - got
-        if got == -1:
-            return inf
-        chain = []
-        while got >= 0:
-            chain.append(cell)
-            cell = got
-            got = field[cell]
-        d = -2 - got
-        for c in reversed(chain):
+        d = 0
+        while cell != self.goal:
+            cell = self.candidates(cell)[0]
             d += 1
-            field[c] = -2 - d
         return float(d)
 
 
@@ -123,11 +182,12 @@ def pibt_step(grid: GridMap, locations: list[int],
               priorities: list[float]) -> ActionStep:
     """Plan one collision-free step for all agents.
 
-    Agents with a heuristic prefer cells with lower heuristic value, ties
-    resolved by the map's canonical neighbor order with waiting last;
-    agents without one prefer to wait. Output locations are guaranteed
-    vertex-collision-free and edge-swap-free. The interpreter's recursion
-    limit is raised for the step and restored before it returns or raises.
+    Agents with a heuristic try cells in ``GuideHeuristic.candidates``
+    order: lower heuristic value first, ties resolved by the map's
+    canonical neighbor order with waiting last; agents without one prefer
+    to wait. Output locations are guaranteed vertex-collision-free and
+    edge-swap-free. The interpreter's recursion limit is raised for the
+    step and restored before it returns or raises.
     """
     n = len(locations)
     occupied_now: dict[int, int] = {}
@@ -143,8 +203,7 @@ def pibt_step(grid: GridMap, locations: list[int],
         h = heuristics[i]
         if h is None:
             return [cur] + grid.neighbors(cur)
-        # Stable: ties keep neighbour order, with waiting last.
-        return sorted(grid.neighbors(cur) + [cur], key=h.value)
+        return h.candidates(cur)
 
     def plan(i: int, pusher: int | None) -> bool:
         for cell in candidates(i):

@@ -29,6 +29,7 @@ from __future__ import annotations
 import io
 import math
 import time
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -163,7 +164,7 @@ class Simulation:
             e_comps = {self._component[c] for c in self._e_cells}
             if not (s_comps & e_comps):
                 raise ValueError("no 'S' cell can reach any 'E' cell")
-            self._s_weights = self._station_weights()
+            self._s_cdf = self._station_cdf()
         elif max(self._comp_sizes, default=0) < 2:
             raise ValueError(
                 "uniform task sampling needs at least 2 mutually reachable free cells")
@@ -218,21 +219,24 @@ class Simulation:
 
     # -- task generation ----------------------------------------------------
 
-    def _station_weights(self) -> np.ndarray:
+    def _station_cdf(self) -> list[float]:
         # Unit distance to the nearest workstation; weight ~ 1 / (1 + distance).
         dist = dijkstra(self.grid.unit_graph, indices=self._e_cells,
                         unweighted=True, min_only=True)[self._s_cells]
         dist[np.isinf(dist)] = self.grid.num_free
         w = 1.0 / (1.0 + dist)
-        return w / w.sum()
+        # The table rng.choice(len(w), p=w / w.sum()) builds on every call;
+        # bisect_right over it on rng.random() draws the same index.
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        return cdf.tolist()
 
     def _spawn_task(self) -> Task:
         if self._preset_tasks:
             pickup, delivery = self._preset_tasks.pop(0)
         elif self.config.task_distribution == "labeled-es":
             while True:
-                s = self._s_cells[int(self.rng.choice(len(self._s_cells),
-                                                      p=self._s_weights))]
+                s = self._s_cells[bisect_right(self._s_cdf, self.rng.random())]
                 e = self._e_cells[int(self.rng.integers(0, len(self._e_cells)))]
                 if self._component[s] == self._component[e]:
                     break

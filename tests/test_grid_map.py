@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import numpy as np
@@ -87,12 +88,29 @@ def test_parse_missing_rows():
         parse_map("type octile\nheight 3\nwidth 3\nmap\n...\n...\n")
 
 
+def test_free_cells_and_labels_cannot_be_written():
+    # Every derived array (neighbours, edges, components) is built from
+    # ``free`` at construction, so a write after it would leave them stale.
+    grid = GridMap(3, 1, [True, False, True], labels={0: "E"})
+    with pytest.raises(TypeError):
+        grid.free[1] = True
+    with pytest.raises(TypeError):
+        grid.labels[2] = "S"
+    with pytest.raises(TypeError):
+        del grid.labels[0]
+    assert not grid.is_free(1) and grid.neighbors(0) == []
+    assert grid.labels == {0: "E"} and grid.cells_with_label("E") == [0]
+    back = pickle.loads(pickle.dumps(grid))
+    assert (back.free, back.labels) == (grid.free, grid.labels)
+
+
 def test_round_trip_preserves_occupancy_and_labels():
     rng = random.Random(5)
     for _ in range(20):
         grid = random_grid(rng, rng.randint(1, 8), rng.randint(1, 8))
-        for v in grid.free_cells[: len(grid.free_cells) // 3]:
-            grid.labels[v] = rng.choice("ES")
+        labels = {v: rng.choice("ES")
+                  for v in grid.free_cells[: len(grid.free_cells) // 3]}
+        grid = GridMap(grid.width, grid.height, grid.free, labels)
         back = parse_map(grid.to_text())
         assert back.free == grid.free
         assert back.labels == grid.labels
@@ -383,7 +401,7 @@ def test_random_map_keeps_exactly_one_largest_component():
                 continue
             best = sizes.index(max(sizes))  # first in cell order on ties
             grid = random_map(9, 7, density, seed)
-            assert grid.free == [c == best for c in comp]
+            assert list(grid.free) == [c == best for c in comp]
             assert grid.component.max() == 0
             kept_split += len(sizes) > 1
     assert kept_split > 20

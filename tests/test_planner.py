@@ -13,6 +13,7 @@ from mapdflow.planner import GuideHeuristic, pibt_step, update_priorities
 from mapdflow.simulator import SimConfig, Simulation
 
 from conftest import bfs_distances, random_grid
+from pibt_oracle import pibt_step as oracle_pibt_step
 
 
 def verify_step(old, new, grid):
@@ -115,6 +116,34 @@ def test_fields_leave_the_unit_graph_unchanged(monkeypatch):
         for part, old in zip((csr.data, csr.indices, csr.indptr), before):
             assert not part.flags.writeable
             assert part.dtype == old.dtype and (part == old).all()
+
+
+@st.composite
+def random_grids(draw):
+    """A random grid of up to 8 x 8 cells, sometimes cut in two by a
+    blocked column, with at least one free cell."""
+    width = draw(st.integers(1, 8))
+    height = draw(st.integers(1, 8))
+    free = draw(st.lists(st.booleans(), min_size=width * height,
+                         max_size=width * height))
+    if width >= 3 and draw(st.booleans()):
+        wall = draw(st.integers(1, width - 2))
+        for y in range(height):
+            free[y * width + wall] = False
+    free[0] = True
+    return GridMap(width, height, free)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(random_grids())
+def test_candidates_equal_moves_sorted_by_value(grid):
+    # Per goal, one field answers the orders and another the values, so
+    # each read resumes from a different resolution state.
+    for goal in grid.free_cells:
+        ordered, valued = GuideHeuristic(grid, goal), GuideHeuristic(grid, goal)
+        for cell in grid.free_cells:
+            moves = grid.neighbors(cell) + [cell]
+            assert ordered.candidates(cell) == sorted(moves, key=valued.value)
 
 
 @st.composite
@@ -294,18 +323,19 @@ def test_step_frees_its_heuristics_without_the_cyclic_collector():
         gc.enable()
 
 
-class RecordingHeuristic:
-    """Unit distance to ``goal`` on an open row; each query records the
-    recursion limit, and raises once ``fail`` is set."""
+class RecordingHeuristic(GuideHeuristic):
+    """A goal's field whose every candidate order records the recursion
+    limit, and raises once ``fail`` is set."""
 
-    def __init__(self, goal, fail=False):
-        self.goal, self.fail, self.limits = goal, fail, []
+    def __init__(self, grid, goal, fail=False):
+        super().__init__(grid, goal)
+        self.fail, self.limits = fail, []
 
-    def value(self, cell):
+    def candidates(self, cell):
         self.limits.append(sys.getrecursionlimit())
         if self.fail:
             raise RuntimeError("heuristic failed")
-        return abs(cell - self.goal)
+        return super().candidates(cell)
 
 
 def test_step_restores_the_recursion_limit():
@@ -316,7 +346,7 @@ def test_step_restores_the_recursion_limit():
     try:
         sys.setrecursionlimit(1000)
         for fail in (False, True):
-            h = RecordingHeuristic(3, fail)
+            h = RecordingHeuristic(grid, 3, fail)
             if fail:
                 with pytest.raises(RuntimeError, match="heuristic failed"):
                     pibt_step(grid, [0, 1], [h, None], [2.0, 1.0])
@@ -384,6 +414,39 @@ def test_pibt_determinism():
     a = pibt_step(grid, list(starts), heuristics, pr)
     b = pibt_step(grid, list(starts), heuristics, pr)
     assert a.locations == b.locations
+
+
+@st.composite
+def crowded_runs(draw):
+    """A random grid packed with agents whose goals are none, reachable,
+    or in another component (where the grid is cut in two)."""
+    grid = draw(random_grids())
+    cells = grid.free_cells
+    n = draw(st.integers(1, len(cells)))
+    starts = draw(st.permutations(cells))[:n]
+    goals = [draw(st.none() | st.sampled_from(cells)) for _ in range(n)]
+    return grid, starts, goals
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(crowded_runs())
+def test_pibt_steps_equal_the_sorting_oracle(case):
+    # Whole steps, over a few steps of a run, match the step that sorted
+    # every candidate list by value. Each side reads its own fields.
+    grid, locs, goals = case
+    n = len(locs)
+    fields = [[None if g is None else GuideHeuristic(grid, g) for g in goals]
+              for _ in range(2)]
+    has_goal = [g is not None for g in goals]
+    pr = update_priorities([0.0] * n, [False] * n, has_goal)
+    for _ in range(4):
+        got = pibt_step(grid, locs, fields[0], pr)
+        want = oracle_pibt_step(grid, locs, fields[1], pr)
+        assert got.locations == want.locations
+        assert got.moved == want.moved
+        locs = got.locations
+        pr = update_priorities(pr, [a == g for a, g in zip(locs, goals)],
+                               has_goal)
 
 
 def test_pibt_rejects_duplicate_locations(open3x3):

@@ -2,9 +2,12 @@
 ``__init__`` imports are one list, and every listed name resolves. The
 package's modules import only the standard library, its declared
 dependencies (numpy and scipy) and the package itself, so that no test
-extra, such as networkx, reaches the library."""
+extra, such as networkx, reaches the library. Loading the package and its
+command line leaves ``scipy.optimize`` unloaded."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,3 +47,16 @@ def test_modules_import_only_stdlib_and_declared_dependencies():
                 continue
             for top in tops:
                 assert top in allowed, f"{path.name} imports {top}"
+
+
+def test_flow_runs_never_load_the_assignment_optimizer():
+    # scipy.optimize serves only the linear strategy, which imports it on
+    # its first call; a fresh interpreter that loads the package and its
+    # command line must not pay for it.
+    src = str(Path(mapdflow.__file__).parent.parent)
+    code = ("import sys, mapdflow, mapdflow.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -1,6 +1,8 @@
+import copy
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mapdflow import simulator
@@ -10,7 +12,8 @@ from mapdflow.mapgen import random_map, warehouse_map
 from mapdflow.planner import ActionStep
 from mapdflow.simulator import SimConfig, Simulation
 
-from conftest import WaitOracle, directed_edges, fcost_oracle, traffic_oracle
+from conftest import (WaitOracle, bfs_distances, directed_edges, fcost_oracle,
+                      traffic_oracle)
 
 MAPS = Path(__file__).resolve().parent.parent / "maps"
 
@@ -394,6 +397,33 @@ def test_labeled_es_alternates_directions():
             assert task.pickup in s_cells and task.delivery in e_cells
         else:
             assert task.pickup in e_cells and task.delivery in s_cells
+
+
+def test_labeled_task_draws_match_rng_choice():
+    # The shelf of each labeled task is drawn as rng.choice(len(S), p=w)
+    # would draw it, with w ~ 1 / (1 + distance to the nearest station):
+    # on a copy of the generator, the same tasks come out and both
+    # generators end in the same state.
+    grid = warehouse_map()
+    s_cells, e_cells = grid.cells_with_label("S"), grid.cells_with_label("E")
+    tables = [bfs_distances(grid, e) for e in e_cells]
+    w = np.array([1.0 / (1.0 + min(t.get(s, grid.num_free) for t in tables))
+                  for s in s_cells])
+    p = w / w.sum()
+    cfg = SimConfig(num_agents=4, strategy="greedy", seed=8,
+                    task_distribution="labeled-es")
+    sim = Simulation(grid, cfg)
+    ref = copy.deepcopy(sim.rng)
+    for _ in range(5000):
+        task = sim._spawn_task()
+        while True:
+            s = s_cells[int(ref.choice(len(s_cells), p=p))]
+            e = e_cells[int(ref.integers(0, len(e_cells)))]
+            if grid.component[s] == grid.component[e]:
+                break
+        expected = (s, e) if task.id % 2 == 0 else (e, s)
+        assert (task.pickup, task.delivery) == expected
+    assert ref.bit_generator.state == sim.rng.bit_generator.state
 
 
 def test_too_many_agents_rejected():

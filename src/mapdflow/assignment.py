@@ -186,7 +186,7 @@ class GridFlowNetwork:
     sink_edges: list[int]           # cell -> its sink edge id (-1 if blocked)
     task_cells: list[int]           # the tasks' pickup cells, ascending
     task_ids: list[int]             # their ids, by pickup cell, then id
-    walk_edges: list[list[int]]     # cell -> interior edge ids by ascending head
+    edge_at: np.ndarray             # the grid's edge ids by cell and N, E, S, W
 
 
 def _first_repeat(ids: list[int]) -> int | None:
@@ -228,11 +228,6 @@ class FlowNetworkBuilder:
         sink_edges = np.full(size, -1, dtype=np.int64)
         sink_edges[free] = m + np.arange(len(free))
         self.sink_edges = sink_edges.tolist()
-        # Retrieval walks each cell's edges by ascending head cell.
-        key = grid.tails.astype(np.int64) * size + grid.heads
-        order = np.argsort(key).tolist()   # keys are unique
-        ptr = grid.indptr.tolist()
-        self.walk_edges = [order[ptr[v]:ptr[v + 1]] for v in range(size)]
 
     def build(self, agents: list[Agent], tasks: list[Task],
               edge_cost: EdgeCost | None = None) -> GridFlowNetwork:
@@ -283,7 +278,7 @@ class FlowNetworkBuilder:
         return GridFlowNetwork(
             network=net, source_edges=source_edges, sink_edges=self.sink_edges,
             task_cells=pickups[order].tolist(), task_ids=ids[order].tolist(),
-            walk_edges=self.walk_edges)
+            edge_at=grid._edge_at)
 
 
 def retrieve_assignments(solution: FlowSolution, net: GridFlowNetwork,
@@ -295,12 +290,13 @@ def retrieve_assignments(solution: FlowSolution, net: GridFlowNetwork,
     the first cell whose sink edge still carries a unit no walk has taken.
     The ``k`` units on a cell's sink edge stand for its ``k`` lowest task
     ids, handed out in that order. Agents whose source edge carries no flow
-    stay unassigned.
+    stay unassigned. A walk leaves a cell by its edges in ascending order
+    of head cell, which is N, W, E, S.
     """
     flow = solution.flow
     used: dict[int, int] = {}    # edge id -> units the walks have taken
     arc_head = net.network.layout.arc_head
-    sink_edges, walk_edges = net.sink_edges, net.walk_edges
+    sink_edges, edge_at = net.sink_edges, net.edge_at
     task_cells, task_ids = net.task_cells, net.task_ids
     pairs: dict[int, int] = {}
     guide_paths: dict[int, list[int]] = {}
@@ -318,7 +314,10 @@ def retrieve_assignments(solution: FlowSolution, net: GridFlowNetwork,
                 pairs[agent.id] = task_ids[bisect_left(task_cells, v) + k]
                 guide_paths[agent.id] = path
                 break
-            for e in walk_edges[v]:
+            north, east, south, west = edge_at[v].tolist()
+            for e in (north, west, east, south):
+                if e < 0:
+                    continue
                 k = used.get(e, 0)
                 if flow[e] > k:
                     used[e] = k + 1

@@ -164,8 +164,8 @@ def update_wait_stats(stats: EdgeWaitStats,
 class TrafficCost:
     """Congestion-estimate edge cost over a traffic state, read as it is at
     the call: 1, plus the vertex congestion ``ceil((n_v - 1) / 2)`` of the
-    head ``v`` (0 for ``n_v <= 1``), plus the contraflow product of the
-    edge's traversal count and its reverse's."""
+    head ``v`` (0 for ``n_v <= 1``), computed as ``n_v // 2``, plus the
+    contraflow product of the edge's traversal count and its reverse's."""
 
     def __init__(self, ts: TrafficState):
         self.ts = ts
@@ -173,8 +173,9 @@ class TrafficCost:
     def __call__(self, u, v):
         grid = self.ts.grid
         _check_own_edges(grid, u, v)
-        n = self.ts.entry_counts
-        congestion = np.where(n > 1, np.ceil((n - 1) / 2), 0.0)
+        # Equal to the formula above for every count n >= 0, and counts
+        # never go negative.
+        congestion = self.ts.entry_counts // 2
         t = self.ts.traversal_counts
         return 1.0 + congestion[v] + t * t[grid.reverse]
 

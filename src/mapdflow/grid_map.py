@@ -60,6 +60,9 @@ class GridMap:
             once. Its arrays are read-only, and its ``indptr`` is the one above.
         component: Connected-component label per cell, numbered in order
             of each component's first cell; -1 on blocked cells.
+
+    ``free_cells`` and the neighbour lists share one int object per cell
+    id, so a large map holds each id once.
     """
 
     def __init__(self, width: int, height: int, free: list[bool],
@@ -79,7 +82,10 @@ class GridMap:
             if not (0 <= v < size and self.free[v]):
                 raise ValueError(f"label on cell {v}, which is blocked or off the map")
         mask = np.array(self.free, dtype=bool)
-        self._free_cells = np.flatnonzero(mask).tolist()
+        # One int object per cell id, which every list of cells below
+        # shares instead of holding its own copy of each id.
+        cell_ids = np.arange(size).astype(object)
+        self._free_cells = cell_ids[mask].tolist()
 
         # has[y, x, d]: cell (x, y) has a free neighbor in direction d,
         # with d = N, E, S, W; downstream tie-breaking relies on that order.
@@ -104,7 +110,7 @@ class GridMap:
         self.reverse = self._edge_at[self.heads, (direction + 2) % 4]
 
         # The planner's hot loops read plain lists, one slice per cell.
-        heads_list, ptr = self.heads.tolist(), self.indptr.tolist()
+        heads_list, ptr = cell_ids[self.heads].tolist(), self.indptr.tolist()
         self._neighbors = [heads_list[a:b] for a, b in zip(ptr, ptr[1:])]
 
         # The unit-weight edge graph, kept read-only for whole-map searches.

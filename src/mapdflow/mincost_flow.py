@@ -30,9 +30,12 @@ no flow, such as a zero-capacity sink edge, costs nothing to scan. The
 per-node scratch (potentials and each phase's arrays) lives in the
 workspace too and is reset only where a solve touched it, and the largest
 layout cost, which sets the float slack, is kept with the layout costs.
-So after the layout is built, a round costs what its searches touch, not
-the size of the map. Solves on one layout run one at a time; a second
-solve while one holds the workspace raises.
+So after the layout is built, a round's Python loops run over what its
+searches touch. Its numpy passes are still over every edge: a network
+checks its cost and capacity arrays, a solve compares them with the
+loaded ones, and the flow it returns is a list over all edges. Solves on
+one layout run one at a time; a second solve while one holds the
+workspace raises.
 
 Costs may be arbitrary nonnegative reals; no cost scaling is used. Flow
 amounts are exact integers whenever all capacities are integers.
@@ -71,7 +74,9 @@ class ArcLayout:
 
     Edge ``e`` has forward arc ``2e`` (tail to head) and reverse arc
     ``2e + 1``. ``arc_head[a]`` is the head of arc ``a``, read-only once
-    built.
+    built. The arc-head lists hold one int object per node id, and the
+    loaded arc costs one float object per distinct cost and one for its
+    negation, so a large layout holds each value once.
 
     The layout also owns the residual workspace that every solve of a
     network on it borrows: arc heads, residuals and costs of the layout
@@ -100,7 +105,9 @@ class ArcLayout:
         arc_head[1::2] = tails
         self.num_nodes = num_nodes
         self.num_edges = m
-        self.arc_head: list[int] = arc_head.tolist()
+        # One int object per node id, shared by every arc with that head.
+        self.arc_head: list[int] = (
+            np.arange(num_nodes).astype(object)[arc_head].tolist())
         # The workspace, as no solve has changed it: no flow, zero costs,
         # every edge unbounded.
         self._head = list(self.arc_head)
@@ -129,9 +136,15 @@ class ArcLayout:
         # bit patterns, so that a flip between 0.0 and -0.0 counts too
         changed = np.flatnonzero(costs.view(np.int64) != old.view(np.int64))
         if len(changed):
-            for e, c in zip(changed.tolist(), costs[changed].tolist()):
-                cost[2 * e] = c
-                cost[2 * e + 1] = -c
+            # One float object per distinct bit pattern, and one for its
+            # negation, shared by every arc that carries it.
+            bits, which = np.unique(costs[changed].view(np.int64),
+                                    return_inverse=True)
+            forward = bits.view(np.float64).tolist()
+            reverse = [-c for c in forward]
+            for e, i in zip(changed.tolist(), which.tolist()):
+                cost[2 * e] = forward[i]
+                cost[2 * e + 1] = reverse[i]
             old[changed] = costs[changed]
             self._max_cost = float(old.max())
             self._integral = bool(np.equal(np.floor(old), old).all())

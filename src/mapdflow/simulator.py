@@ -11,8 +11,10 @@ execute one PIBT step, which steers by one unit-distance field per goal;
 the decayed wait statistics; (6) release tasks; (7) record metrics.
 
 ``Simulation.tasks`` holds the tasks in play (released, not yet
-delivered) in release order. The traffic counts change where a step sets
-an agent's guide path and where a delivery clears it.
+delivered) in release order. Cost-model state exists only under the model
+that reads it: traffic counts under traffic, which change where a step
+sets an agent's guide path and where a delivery clears it, and wait
+statistics under avg-wait.
 
 Edge costs are a per-round snapshot: the solver and every delivery leg
 staged until the next round use the array evaluated at the round.
@@ -202,14 +204,19 @@ class Simulation:
         self.picked_up = 0
         self.delivered = 0
 
-        self.wait_stats = EdgeWaitStats(grid, gamma=config.gamma)
-        # Counts of the agents' guide paths, changed where a path is set or
-        # cleared.
-        self.traffic = TrafficState(grid)
+        # Each state exists only under the configuration that reads it:
+        # wait statistics under avg-wait, and the counts of the agents'
+        # guide paths, changed where a path is set or cleared, under traffic.
+        self.wait_stats = (EdgeWaitStats(grid, gamma=config.gamma)
+                           if config.cost_model == "avg-wait" else None)
+        self.traffic = TrafficState(grid) if config.cost_model == "traffic" else None
         self.edge_cost = None   # per-edge cost array, evaluated each round
         # Distance tables have two readers: greedy's pickup costs and the
-        # traffic model's delivery legs.
-        self.provider = DistanceProvider(grid)
+        # traffic model's delivery legs. Only greedy under unit cost keeps
+        # tables across rounds; every other reader gets a costed provider
+        # each round.
+        self.provider = (DistanceProvider(grid) if config.strategy == "greedy"
+                         and config.cost_model == "unit" else None)
         self.builder = FlowNetworkBuilder(grid) if config.strategy == "flow" else None
 
         self.step_idx = 0
@@ -391,7 +398,8 @@ class Simulation:
                 self.metrics.total_assignment_cost += round_cost
             for agent_id, path in staged_paths.items():
                 self.agents[agent_id].guide_path = path
-            self.traffic.add(staged_paths.values())
+            if staged_paths:
+                self.traffic.add(staged_paths.values())
 
             # One heuristic per goal: kept while some agent heads there.
             goals = [self._goal_of(a) for a in self.agents]
@@ -446,7 +454,8 @@ class Simulation:
                     self.picked_up += 1
                     agent.carried_task = task.id
                     reached[agent.id] = True
-        self.traffic.remove(cleared)
+        if cleared:
+            self.traffic.remove(cleared)
 
         if cfg.cost_model == "avg-wait":
             update_wait_stats(self.wait_stats, events)
@@ -480,7 +489,8 @@ class Simulation:
         """Assert that the task table, the counters, the agents' tasks and
         the traffic counts agree, in time linear in the agents and the
         tasks in play. Each held task is in the table, held once, and
-        picked up exactly when its agent carries it."""
+        picked up exactly when its agent carries it. With no traffic state
+        no agent holds a guide path."""
         locs = [a.location for a in self.agents]
         assert len(set(locs)) == len(locs), "agents overlap"
         tasks = self.tasks
@@ -498,6 +508,10 @@ class Simulation:
         assert states[TaskState.DELIVERED] == 0
         assert states[TaskState.ASSIGNED] + states[TaskState.PICKED_UP] == len(holders)
         assert len(tasks) - states[TaskState.PICKED_UP] == self.released - self.picked_up
+        if self.traffic is None:
+            assert all(a.guide_path is None for a in self.agents), \
+                "guide path held with no traffic state"
+            return
         fresh = TrafficState(self.grid)
         fresh.add(a.guide_path for a in self.agents if a.guide_path)
         assert np.array_equal(fresh.entry_counts, self.traffic.entry_counts)

@@ -8,7 +8,8 @@ from mapdflow.assignment import (Agent, FlowNetworkBuilder, Task, flow_assign,
                                  greedy_assign, linear_assignment,
                                  retrieve_assignments)
 from mapdflow.grid_map import DistanceProvider, GridMap
-from mapdflow.mincost_flow import solve_min_cost_flow
+from mapdflow.mapgen import random_map
+from mapdflow.mincost_flow import FlowSolution, solve_min_cost_flow
 
 from conftest import assignment_oracle, bfs_distances, directed_edges, random_grid
 
@@ -287,6 +288,45 @@ def test_tasks_sharing_a_pickup_go_out_by_id_in_agent_order():
     assert aset.pairs == {1: 2, 3: 5}
     assert aset.guide_paths == {1: [1, 2, 3, 4], 3: [0, 1, 2, 3, 4]}
     assert aset.total_cost == 7.0
+
+
+WALK_MAPS = {
+    "random-1": lambda: random_map(12, 12, 0.2, seed=1),
+    "random-2": lambda: random_map(9, 14, 0.3, seed=2),
+    "width-1": lambda: GridMap(1, 6, [True, True, False, True, True, True]),
+    "width-2": lambda: GridMap(2, 5, [True, True, True, False, True, True,
+                                      True, True, False, True]),
+    "height-1": lambda: GridMap(7, 1, [True, True, True, False, True, True, True]),
+}
+
+
+@pytest.mark.parametrize("name", list(WALK_MAPS))
+def test_walks_leave_a_cell_by_ascending_head(name):
+    # One unit leaves the agent's cell along every edge, each to a task,
+    # and the edge a walk takes is emptied before the next walk: the edges
+    # taken, in turn, are the order retrieval reads them in. The reference
+    # is each cell's edges sorted by head cell.
+    grid = WALK_MAPS[name]()
+    size = grid.width * grid.height
+    tails, heads = grid.tails.astype(np.int64), grid.heads.astype(np.int64)
+    order = np.argsort(tails * size + heads).tolist()
+    builder = FlowNetworkBuilder(grid)
+    tasks = [Task(id=j, pickup=c, delivery=c) for j, c in enumerate(grid.free_cells)]
+    for v in grid.free_cells:
+        first, last = int(grid.indptr[v]), int(grid.indptr[v + 1])
+        agents = [Agent(id=0, location=v)]
+        gnet = builder.build(agents, tasks)
+        flow = [0] * gnet.network.num_edges
+        flow[gnet.source_edges[0]] = 1
+        for e in range(first, last):
+            flow[e] = flow[gnet.sink_edges[int(grid.heads[e])]] = 1
+        taken = []
+        for _ in range(first, last):
+            path = retrieve_assignments(FlowSolution(flow, 1, 0.0), gnet,
+                                        agents).guide_paths[0]
+            taken.append(int(grid.edge_ids([v], [path[1]])[0]))
+            flow[taken[-1]] = 0
+        assert taken == order[first:last]
 
 
 def test_retrieval_unassigned_agents_stay_unassigned():

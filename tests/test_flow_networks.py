@@ -29,6 +29,7 @@ from mapdflow.assignment import Agent, FlowNetworkBuilder, Task, flow_assign
 from mapdflow.cost_models import (AvgWaitCost, EdgeWaitStats, TrafficCost,
                                   TrafficState, update_wait_stats)
 from mapdflow.grid_map import GridMap
+from mapdflow.mapgen import random_map
 from mapdflow.mincost_flow import (UNBOUNDED, ArcLayout, FlowInfeasibleError,
                                    FlowNetwork, solve_min_cost_flow)
 
@@ -512,3 +513,23 @@ def test_a_failed_solve_drops_the_scratch():
     assert_scratch_clear(builder.layout)
     again = builder.build(agents, tasks).network
     assert outcome(again) == outcome(FlowNetworkBuilder(grid).build(agents, tasks).network)
+
+
+def test_layout_tables_hold_one_object_per_node_id_and_cost():
+    # The arc heads share one int object per node id. The loaded costs
+    # share one float object per distinct cost and one for its negation:
+    # after a unit-cost solve, 1.0 and -1.0 on the map's edges and the
+    # built 0.0 and -0.0 on the sink edges. A map past 256 cells, since
+    # Python shares the ints up to 256 by itself.
+    grid = random_map(32, 32, 0.2, seed=2)
+    builder = FlowNetworkBuilder(grid)
+    layout = builder.layout
+    assert len({id(h) for h in layout.arc_head}) <= layout.num_nodes
+    agents, tasks = random_instance(random.Random(3), grid, 20, 30)
+    solve_min_cost_flow(builder.build(agents, tasks).network)
+    assert len({id(c) for c in layout._cost}) <= 4
+    quarters = np.random.default_rng(4).integers(0, 9, len(grid.tails)) / 4.0
+    net = builder.build(agents, tasks, quarters).network
+    solve_min_cost_flow(net)
+    assert len({id(c) for c in layout._cost}) <= 2 * 9 + 2
+    assert_workspace_as_built(layout, net)

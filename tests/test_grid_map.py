@@ -104,6 +104,18 @@ def test_free_cells_and_labels_cannot_be_written():
     assert (back.free, back.labels) == (grid.free, grid.labels)
 
 
+def test_cell_lists_share_one_int_per_cell():
+    # Past 256 cells Python makes a new int object for each id it converts,
+    # so each list would hold its own copy of every id; the map's lists
+    # share one object per cell instead.
+    from mapdflow.mapgen import random_map
+    grid = random_map(32, 32, 0.2, seed=2)
+    free_ids = {id(v) for v in grid.free_cells}
+    neighbor_ids = {id(u) for v in grid.free_cells for u in grid.neighbors(v)}
+    assert len(neighbor_ids) <= grid.num_free
+    assert neighbor_ids <= free_ids
+
+
 def test_round_trip_preserves_occupancy_and_labels():
     rng = random.Random(5)
     for _ in range(20):

@@ -569,6 +569,42 @@ def test_check_invariants_catches_a_broken_fact(fault):
         sim.check_invariants()
 
 
+def test_check_invariants_rejects_a_guide_path_without_traffic_state():
+    # Only the traffic model stages guide paths, so under any other model
+    # a held path has no counts to agree with, even a one-cell path that
+    # counts would not see.
+    grid = random_map(12, 12, 0.15, seed=3)
+    cfg = SimConfig(num_agents=8, pool_ratio=2.0, horizon=12, seed=6)
+    sim = Simulation(grid, cfg)
+    sim.run()
+    sim.check_invariants()
+    carrier = next(a for a in sim.agents if a.is_delivering)
+    carrier.guide_path = [carrier.location]
+    with pytest.raises(AssertionError):
+        sim.check_invariants()
+
+
+@pytest.mark.parametrize("cost_model", simulator.COST_MODELS)
+@pytest.mark.parametrize("strategy", simulator.STRATEGIES)
+def test_each_configuration_holds_only_the_state_it_reads(strategy, cost_model):
+    # Wait statistics have one reader, the avg-wait model; traffic counts
+    # one, the traffic model; the flow builder one, the flow strategy. A
+    # distance provider lives across rounds only under greedy and unit
+    # cost; greedy under a cost model and the traffic model's staging get
+    # a costed one each round.
+    grid = random_map(12, 12, 0.15, seed=3)
+    cfg = SimConfig(num_agents=8, strategy=strategy, cost_model=cost_model,
+                    horizon=10, seed=6)
+    sim = Simulation(grid, cfg)
+    assert (sim.wait_stats is not None) == (cost_model == "avg-wait")
+    assert (sim.traffic is not None) == (cost_model == "traffic")
+    assert (sim.builder is not None) == (strategy == "flow")
+    assert (sim.provider is not None) == (strategy == "greedy" and cost_model == "unit")
+    sim.run()
+    sim.check_invariants()
+    assert (sim.provider is not None) == (strategy == "greedy" or cost_model == "traffic")
+
+
 def test_agents_with_one_goal_share_one_heuristic(monkeypatch):
     grid = parse_map(MAPS.joinpath("warehouse_21x35.map").read_text())
     cfg = SimConfig(num_agents=60, cost_model="avg-wait",
@@ -606,7 +642,7 @@ def test_unit_tables_cached_only_for_active_task_endpoints(monkeypatch, strategy
                                                            period):
     # A greedy round drops the unit tables of goals no released, undelivered
     # task has, and its pickup costs add only such goals. Under flow no
-    # table has a reader, so none is ever cached.
+    # table has a reader, so there is no provider to cache one.
     grid = random_map(24, 24, 0.2, seed=3)
     cfg = SimConfig(num_agents=20, strategy=strategy, schedule_period=period,
                     horizon=60, seed=4)
@@ -619,13 +655,12 @@ def test_unit_tables_cached_only_for_active_task_endpoints(monkeypatch, strategy
         staged = real_stage(self)
         if self.step_idx % period == 0:   # this step ran a round
             rounds += 1
-            cached = set(self.provider._tables)
             if strategy == "flow":
-                assert not cached
+                assert self.provider is None
             else:
                 endpoints = {c for t in self.tasks.values()
                              for c in (t.pickup, t.delivery)}
-                assert cached <= endpoints
+                assert set(self.provider._tables) <= endpoints
         return staged
 
     monkeypatch.setattr(Simulation, "_stage_guide_paths", checked_stage)
@@ -670,7 +705,7 @@ def test_wait_stats_untouched_without_avg_wait(cost_model):
     sim = Simulation(grid, cfg)
     sim.run()
     assert sim.delivered > 0
-    assert sim.wait_stats.epoch == 0
+    assert sim.wait_stats is None
 
 
 @pytest.mark.parametrize("strategy", ["flow", "greedy", "linear"])

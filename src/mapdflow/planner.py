@@ -3,7 +3,11 @@
 Agents move one cell per step. PIBT plans the whole team in descending
 priority order; when a preferred cell is occupied, the occupant inherits
 the priority and plans first, backtracking if it cannot make room. The
-resulting step never contains a vertex collision or an edge swap.
+resulting step never contains a vertex collision or an edge swap. A root
+agent's inheritance chain is planned in one loop over an explicit stack,
+each frame an agent with the candidates it has not tried yet, in the
+order the recursive formulation visits them: a chain as long as the team
+needs no recursion and no change to the interpreter's state.
 
 Movement preferences come from a guide-path heuristic, which for a path
 of unit moves is the unit distance to the path's last cell, so it is
@@ -18,7 +22,7 @@ distance.
 
 from __future__ import annotations
 
-import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
@@ -186,66 +190,70 @@ def pibt_step(grid: GridMap, locations: list[int],
     order: lower heuristic value first, ties resolved by the map's
     canonical neighbor order with waiting last; agents without one prefer
     to wait. Output locations are guaranteed vertex-collision-free and
-    edge-swap-free. The interpreter's recursion limit is raised for the
-    step and restored before it returns or raises.
+    edge-swap-free.
+
+    Raises:
+        ValueError: If ``heuristics`` or ``priorities`` differs in length
+            from ``locations``, or a location is off the map, blocked or
+            shared by two agents.
     """
     n = len(locations)
+    if len(heuristics) != n or len(priorities) != n:
+        raise ValueError("need one heuristic and one priority per location")
+    size, free, neighbors = len(grid.free), grid.free, grid._neighbors
     occupied_now: dict[int, int] = {}
     for i, cell in enumerate(locations):
+        if not (0 <= cell < size and free[cell]):
+            raise ValueError(f"agent {i} is on cell {cell}, blocked or off the map")
         if cell in occupied_now:
             raise ValueError(f"agents {occupied_now[cell]} and {i} share cell {cell}")
         occupied_now[cell] = i
     reserved: dict[int, int] = {}
     next_loc: list[int | None] = [None] * n
 
-    def candidates(i: int) -> list[int]:
+    def candidates(i: int) -> Iterator[int]:
         cur = locations[i]
         h = heuristics[i]
-        if h is None:
-            return [cur] + grid.neighbors(cur)
-        return h.candidates(cur)
+        return iter([cur] + neighbors[cur] if h is None else h.candidates(cur))
 
-    def plan(i: int, pusher: int | None) -> bool:
-        for cell in candidates(i):
-            if cell in reserved:
-                continue
-            if pusher is not None and cell == locations[pusher]:
-                continue  # would swap with the agent that pushed us
-            occupant = occupied_now.get(cell)
-            if occupant is not None and occupant != i:
-                if next_loc[occupant] == locations[i]:
-                    continue  # taking its old cell would be a swap
+    # The inheritance chain: each frame is an agent, its pusher's cell (-1
+    # for the root) and the candidates it has not tried yet.
+    chain: list[tuple[int, int, Iterator[int]]] = []
+    # Roots by descending priority; a stable sort keeps ties in id order.
+    for root in sorted(range(n), key=priorities.__getitem__, reverse=True):
+        if next_loc[root] is not None:
+            continue
+        chain.append((root, -1, candidates(root)))
+        while chain:
+            i, pusher_cell, untried = chain[-1]
+            here = locations[i]
+            for cell in untried:
+                if cell in reserved or cell == pusher_cell:
+                    continue  # taken, or a swap with the agent that pushed us
+                occupant = occupied_now.get(cell)
+                if occupant is not None and occupant != i:
+                    if next_loc[occupant] == here:
+                        continue  # taking its old cell would be a swap
+                    reserved[cell] = i
+                    next_loc[i] = cell
+                    if next_loc[occupant] is None:
+                        # The occupant inherits our priority and plans first.
+                        chain.append((occupant, here, candidates(occupant)))
+                        break
                 reserved[cell] = i
                 next_loc[i] = cell
-                if next_loc[occupant] is None and not plan(occupant, i):
-                    # The blocked occupant reclaimed this cell; move on.
-                    next_loc[i] = None
-                    continue
-                return True
-            reserved[cell] = i
-            next_loc[i] = cell
-            return True
-        # Fully blocked: stay put, reclaiming our own cell even if a pusher
-        # reserved it (the pusher sees False and tries another candidate).
-        reserved[locations[i]] = i
-        next_loc[i] = locations[i]
-        return False
+                # A win ends the chain: every agent on it keeps its cell.
+                chain.clear()
+                break
+            else:
+                # Fully blocked: stay put, reclaiming our own cell even if
+                # the pusher reserved it. The pusher resumes with its next
+                # candidate, and every way out of that loop sets its cell
+                # before anything reads it.
+                reserved[here] = i
+                next_loc[i] = here
+                chain.pop()
 
-    order = sorted(range(n), key=lambda i: -priorities[i])
-    old_limit = sys.getrecursionlimit()
-    # inheritance chains can span the whole team
-    sys.setrecursionlimit(max(old_limit, 5 * n + 1000))
-    try:
-        for i in order:
-            if next_loc[i] is None:
-                plan(i, None)
-    finally:
-        sys.setrecursionlimit(old_limit)
-        # ``plan`` refers to itself through its closure; emptying that cell
-        # frees the step's heuristics now rather than at the next collection.
-        del plan
-
-    new_locations = [next_loc[i] if next_loc[i] is not None else locations[i]
-                     for i in range(n)]
-    moved = [new_locations[i] != locations[i] for i in range(n)]
-    return ActionStep(locations=new_locations, moved=moved)
+    # Every agent is planned now: a win or a block sets each one's cell.
+    moved = [new != old for new, old in zip(next_loc, locations)]
+    return ActionStep(locations=next_loc, moved=moved)

@@ -194,7 +194,6 @@ class Simulation:
         n = config.num_agents
         self._fields: dict[int, GuideHeuristic] = {}   # goal -> its heuristic
         self.priorities = update_priorities([0.0] * n, [False] * n, [False] * n)
-        self.wait_counters = [0] * n
 
         # The tasks in play: released, not yet delivered, in release order.
         # The pool is those not picked up.
@@ -205,10 +204,12 @@ class Simulation:
         self.delivered = 0
 
         # Each state exists only under the configuration that reads it:
-        # wait statistics under avg-wait, and the counts of the agents'
-        # guide paths, changed where a path is set or cleared, under traffic.
-        self.wait_stats = (EdgeWaitStats(grid, gamma=config.gamma)
-                           if config.cost_model == "avg-wait" else None)
+        # wait statistics, and each agent's count of steps waited since it
+        # last moved, under avg-wait; the counts of the agents' guide paths,
+        # changed where a path is set or cleared, under traffic.
+        avg_wait = config.cost_model == "avg-wait"
+        self.wait_stats = EdgeWaitStats(grid, gamma=config.gamma) if avg_wait else None
+        self.wait_counters = [0] * n if avg_wait else None
         self.traffic = TrafficState(grid) if config.cost_model == "traffic" else None
         self.edge_cost = None   # per-edge cost array, evaluated each round
         # Distance tables have two readers: greedy's pickup costs and the
@@ -411,14 +412,14 @@ class Simulation:
             self._verify_step(old, action.locations)
             new, moved = action.locations, action.moved
 
-        events: list[tuple[tuple[int, int], int]] = []
+        waits = self.wait_counters
+        if waits is not None:
+            events = [((old[i], new[i]), waits[i])
+                      for i in range(cfg.num_agents) if moved[i]]
+            for i in range(cfg.num_agents):
+                waits[i] = 0 if moved[i] else waits[i] + 1
         for i, agent in enumerate(self.agents):
             agent.location = new[i]
-            if moved[i]:
-                events.append(((old[i], new[i]), self.wait_counters[i]))
-                self.wait_counters[i] = 0
-            else:
-                self.wait_counters[i] += 1
             if self.trace_enabled:
                 kind = "timeout" if timed_out else "move" if moved[i] else "wait"
                 self.trace_rows.append((self.step_idx + 1, i, old[i], new[i], kind))

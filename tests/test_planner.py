@@ -4,7 +4,7 @@ import sys
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mapdflow.grid_map import GridMap, parse_map
@@ -338,9 +338,9 @@ class RecordingHeuristic(GuideHeuristic):
         return super().candidates(cell)
 
 
-def test_step_restores_the_recursion_limit():
-    # Inheritance chains may recurse through the whole team, so the limit
-    # is raised during a step, and set back before it returns or raises.
+def test_step_leaves_the_recursion_limit_alone():
+    # The inheritance chain is a loop, so a step neither raises the
+    # interpreter's recursion limit nor needs it, on return or on raise.
     grid = GridMap(4, 1, [True] * 4)
     saved = sys.getrecursionlimit()
     try:
@@ -352,7 +352,7 @@ def test_step_restores_the_recursion_limit():
                     pibt_step(grid, [0, 1], [h, None], [2.0, 1.0])
             else:
                 pibt_step(grid, [0, 1], [h, None], [2.0, 1.0])
-            assert h.limits and min(h.limits) >= 5 * 2 + 1000
+            assert h.limits == [1000]
             assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(saved)
@@ -430,6 +430,10 @@ def crowded_runs(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(crowded_runs())
+# A push chain of 2,999 agents, deeper than the default recursion limit:
+# agent 0 heads to the far end of a corridor and every other agent is idle.
+@example((GridMap(3000, 1, [True] * 3000), list(range(2999)),
+          [2999] + [None] * 2998))
 def test_pibt_steps_equal_the_sorting_oracle(case):
     # Whole steps, over a few steps of a run, match the step that sorted
     # every candidate list by value. Each side reads its own fields.
@@ -452,6 +456,28 @@ def test_pibt_steps_equal_the_sorting_oracle(case):
 def test_pibt_rejects_duplicate_locations(open3x3):
     with pytest.raises(ValueError):
         pibt_step(open3x3, [0, 0], [None, None], [1.0, 0.5])
+
+
+@pytest.fixture
+def split_corridor():
+    # 0 . 2, with cell 1 blocked
+    return GridMap(3, 1, [True, False, True])
+
+
+@pytest.mark.parametrize("cell", [1, 7, -1])
+def test_pibt_rejects_a_location_blocked_or_off_the_map(split_corridor, cell):
+    with pytest.raises(ValueError, match="blocked or off the map"):
+        pibt_step(split_corridor, [cell], [GuideHeuristic(split_corridor, 2)],
+                  [1.0])
+
+
+@pytest.mark.parametrize("heuristics, priorities", [
+    ([], [1.0, 0.5]), ([None] * 3, [1.0, 0.5]),
+    ([None] * 2, [1.0]), ([None] * 2, [1.0, 0.5, 0.2])])
+def test_pibt_rejects_inputs_of_other_lengths(split_corridor, heuristics,
+                                              priorities):
+    with pytest.raises(ValueError, match="one heuristic and one priority"):
+        pibt_step(split_corridor, [0, 2], heuristics, priorities)
 
 
 def test_crowded_map_many_steps_no_collisions():

@@ -153,17 +153,19 @@ def test_zero_budget_times_out_every_step():
     assert [a.location for a in sim.agents] == starts  # everyone paused
 
 
-def test_timed_out_steps_trace_every_agent_in_place():
+@pytest.mark.parametrize("cost_model", ["unit", "avg-wait"])
+def test_timed_out_steps_trace_every_agent_in_place(cost_model):
+    # Wait counts are kept only for the avg-wait model, their one reader.
     grid = random_map(8, 8, 0.1, seed=1)
     cfg = SimConfig(num_agents=3, horizon=20, strategy="flow", seed=0,
-                    step_budget=0.0)
+                    cost_model=cost_model, step_budget=0.0)
     sim = Simulation(grid, cfg, trace=True)
     starts = [a.location for a in sim.agents]
     sim.run()
     assert sim.trace_rows == [(step, i, c, c, "timeout")
                               for step in range(1, 21)
                               for i, c in enumerate(starts)]
-    assert sim.wait_counters == [20] * 3
+    assert sim.wait_counters == ([20] * 3 if cost_model == "avg-wait" else None)
     sim.check_invariants()
 
 
@@ -587,16 +589,17 @@ def test_check_invariants_rejects_a_guide_path_without_traffic_state():
 @pytest.mark.parametrize("cost_model", simulator.COST_MODELS)
 @pytest.mark.parametrize("strategy", simulator.STRATEGIES)
 def test_each_configuration_holds_only_the_state_it_reads(strategy, cost_model):
-    # Wait statistics have one reader, the avg-wait model; traffic counts
-    # one, the traffic model; the flow builder one, the flow strategy. A
-    # distance provider lives across rounds only under greedy and unit
-    # cost; greedy under a cost model and the traffic model's staging get
-    # a costed one each round.
+    # Wait statistics and wait counts have one reader, the avg-wait model;
+    # traffic counts one, the traffic model; the flow builder one, the flow
+    # strategy. A distance provider lives across rounds only under greedy
+    # and unit cost; greedy under a cost model and the traffic model's
+    # staging get a costed one each round.
     grid = random_map(12, 12, 0.15, seed=3)
     cfg = SimConfig(num_agents=8, strategy=strategy, cost_model=cost_model,
                     horizon=10, seed=6)
     sim = Simulation(grid, cfg)
     assert (sim.wait_stats is not None) == (cost_model == "avg-wait")
+    assert (sim.wait_counters is not None) == (cost_model == "avg-wait")
     assert (sim.traffic is not None) == (cost_model == "traffic")
     assert (sim.builder is not None) == (strategy == "flow")
     assert (sim.provider is not None) == (strategy == "greedy" and cost_model == "unit")

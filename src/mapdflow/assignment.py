@@ -13,6 +13,7 @@ import enum
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
@@ -189,6 +190,9 @@ class GridFlowNetwork:
     edge_at: np.ndarray             # the grid's edge ids by cell and N, E, S, W
 
 
+_pickup = attrgetter("pickup")
+
+
 def _first_repeat(ids: list[int]) -> int | None:
     """The first id of ``ids`` seen before, or None if all are distinct."""
     if len(set(ids)) == len(ids):
@@ -221,8 +225,7 @@ class FlowNetworkBuilder:
             size + 2, np.concatenate([grid.tails, free]),
             np.concatenate([grid.heads, np.full(len(free), size + 1)]))
         self._free = free
-        self._free_mask = np.zeros(size, dtype=bool)
-        self._free_mask[free] = True
+        self._components = int(grid.component.max()) + 1
         self._grid_caps = np.full(m, UNBOUNDED, dtype=np.int64)
         self._sink_costs = np.zeros(len(free))
         sink_edges = np.full(size, -1, dtype=np.int64)
@@ -247,13 +250,12 @@ class FlowNetworkBuilder:
             if not grid.is_free(agent.location):
                 raise ValueError(f"agent {agent.id} is on a blocked cell")
         size = grid.width * grid.height
-        pickups = np.array([t.pickup for t in tasks], dtype=np.int64)
-        on_map = (pickups >= 0) & (pickups < size)
-        blocked = ~on_map
-        blocked[on_map] = ~self._free_mask[pickups[on_map]]
-        if blocked.any():
-            raise ValueError(
-                f"task {tasks[int(np.argmax(blocked))].id} pickup cell is blocked")
+        comp = grid.component     # -1 on blocked cells
+        pickups = np.fromiter(map(_pickup, tasks), np.int64, len(tasks))
+        if tasks and not (0 <= pickups.min() and pickups.max() < size
+                          and comp[pickups].min() >= 0):
+            task = next(t for t in tasks if not grid.is_free(t.pickup))
+            raise ValueError(f"task {task.id} pickup cell is blocked")
 
         source, sink = size, size + 1
         counts = np.bincount(pickups, minlength=size)
@@ -270,10 +272,9 @@ class FlowNetworkBuilder:
 
         # The max feasible flow is min(agents, tasks) summed per connected
         # component: inside a component every agent reaches every pickup.
-        comp, n_comp = grid.component, int(grid.component.max()) + 1
         per_comp_agents = np.bincount(
-            comp[[a.location for a in agents]], minlength=n_comp)
-        per_comp_tasks = np.bincount(comp[pickups], minlength=n_comp)
+            comp[[a.location for a in agents]], minlength=self._components)
+        per_comp_tasks = np.bincount(comp[pickups], minlength=self._components)
         net.required_flow = int(np.minimum(per_comp_agents, per_comp_tasks).sum())
         return GridFlowNetwork(
             network=net, source_edges=source_edges, sink_edges=self.sink_edges,
@@ -316,7 +317,7 @@ def retrieve_assignments(solution: FlowSolution, net: GridFlowNetwork,
                 break
             north, east, south, west = edge_at[v].tolist()
             for e in (north, west, east, south):
-                if e < 0:
+                if e < 0 or not flow[e]:
                     continue
                 k = used.get(e, 0)
                 if flow[e] > k:

@@ -109,9 +109,12 @@ class GridMap:
         self._head_at[tails, direction] = self.heads
         self.reverse = self._edge_at[self.heads, (direction + 2) % 4]
 
-        # The planner's hot loops read plain lists, one slice per cell.
+        # The planner's hot loops read plain lists, one slice per cell. Every
+        # cell without edges shares one empty list, which nothing mutates.
         heads_list, ptr = cell_ids[self.heads].tolist(), self.indptr.tolist()
-        self._neighbors = [heads_list[a:b] for a, b in zip(ptr, ptr[1:])]
+        none: list[int] = []
+        self._neighbors = [heads_list[a:b] if a < b else none
+                           for a, b in zip(ptr, ptr[1:])]
 
         # The unit-weight edge graph, kept read-only for whole-map searches.
         self.unit_graph = self.adjacency()
@@ -196,7 +199,8 @@ class GridMap:
         if costs.shape != self.heads.shape:
             raise ValueError(f"expected {len(self.heads)} edge costs, "
                              f"got shape {costs.shape}")
-        if not np.isfinite(costs).all() or (costs < 0).any():
+        # min and max are nan if any cost is
+        if costs.size and not (0 <= costs.min() and costs.max() < np.inf):
             raise ValueError("edge costs must be finite and nonnegative")
         return costs
 

@@ -4,12 +4,16 @@ The solver is a primal-dual successive-shortest-paths method: each phase
 runs one Dijkstra over the residual network using reduced costs (node
 potentials keep all residual arcs nonnegative), then saturates as many
 shortest augmenting paths as possible along zero-reduced-cost arcs before
-re-running Dijkstra. Phase count is governed by the number of distinct
+re-running Dijkstra. Each Dijkstra stops as soon as the sink's distance is
+final: the potentials move by ``min(d(v), d_sink) - d_sink``, which is 0 at
+every node it left unsettled (Ahuja, Magnanti & Orlin, *Network Flows*,
+1993, ch. 9). Phase count is governed by the number of distinct
 shortest-path lengths rather than the flow value, which keeps solve times
 dominated by network size on spatial networks with many unit supplies.
 When a phase's Dijkstra no longer reaches the sink, no augmenting path is
 left, so the flow sent so far is a maximum flow (max-flow/min-cut); if it
 falls short of the required value, :class:`FlowInfeasibleError` reports it.
+A solution counts its phases and augmenting paths.
 
 A network may share a prefix of edges, an :class:`ArcLayout`, with other
 networks: the residual arcs of those edges (heads, and each node's arcs by
@@ -31,11 +35,11 @@ per-node scratch (potentials and each phase's arrays) lives in the
 workspace too and is reset only where a solve touched it, and the largest
 layout cost, which sets the float slack, is kept with the layout costs.
 So after the layout is built, a round's Python loops run over what its
-searches touch. Its numpy passes are still over every edge: a network
-checks its cost and capacity arrays, a solve compares them with the
-loaded ones, and the flow it returns is a list over all edges. Solves on
-one layout run one at a time; a second solve while one holds the
-workspace raises.
+searches touch. What still runs over every edge is a few whole-array
+passes: a network checks its costs (their minimum and maximum) and
+capacities, a solve compares both arrays with the loaded ones, and the
+flow it returns is a list over all edges. Solves on one layout run one at
+a time; a second solve while one holds the workspace raises.
 
 Costs may be arbitrary nonnegative reals; no cost scaling is used. Flow
 amounts are exact integers whenever all capacities are integers.
@@ -122,9 +126,12 @@ class ArcLayout:
         self._integral = True
         # Each node's scan list, as loaded: its forward arcs by arc id.
         # Nodes past the layout's are added by the first solve that has them.
+        # Every node without arcs shares one empty list: no load inserts
+        # into it, and a solve changes a scan list only in its own copy.
         forward = (2 * np.argsort(tails, kind="stable")).tolist()
         ptr = [0] + np.cumsum(np.bincount(tails, minlength=num_nodes)).tolist()
-        self._adj = [forward[ptr[v]:ptr[v + 1]] for v in range(num_nodes)]
+        none: list[int] = []
+        self._adj = [forward[a:b] if a < b else none for a, b in zip(ptr, ptr[1:])]
         self._drop_scratch()
         self._busy = threading.Lock()      # held by the solve using the workspace
 
@@ -224,7 +231,8 @@ class FlowNetwork:
         self.layout_costs = np.asarray(self.layout_costs, dtype=np.float64)
         if self.layout_costs.shape != (m,):
             raise ValueError("layout costs must give one cost per layout edge")
-        if not (np.isfinite(self.layout_costs).all() and (self.layout_costs >= 0).all()):
+        # min and max are nan if any cost is
+        if m and not (0 <= self.layout_costs.min() and self.layout_costs.max() < _INF):
             raise ValueError("edge cost must be finite and nonnegative")
         if self.layout_caps is None:
             self.layout_caps = np.full(m, UNBOUNDED, dtype=np.int64)
@@ -272,11 +280,15 @@ class FlowNetwork:
 
 @dataclass
 class FlowSolution:
-    """An integral flow: per-edge amounts, achieved value, and total cost."""
+    """An integral flow: per-edge amounts, achieved value, and total cost,
+    with the work that found it: ``phases`` shortest-path searches and
+    ``paths`` augmenting paths (both 0 when no flow was required)."""
 
     flow: list[int]
     value: int
     total_cost: float
+    phases: int = 0
+    paths: int = 0
 
 
 def _effective_caps(net: FlowNetwork) -> list[int]:
@@ -301,7 +313,7 @@ class _PrimalDualSolver:
         # phase-start residuals of those the current phase changed.
         self.touched: set[int] = set()
         self.phase_res: dict[int, int] = {}
-        self.priced: set[int] = set()   # nodes whose potential a phase moved
+        self.priced: list[int] = []     # nodes a phase priced, with repeats
         # The loaded scan list of each node whose list this solve copied,
         # and the reverse arcs it inserted into the copies.
         self.saved: dict[int, list[int]] = {}
@@ -374,12 +386,18 @@ class _PrimalDualSolver:
             pi[v] = 0.0
 
     def _dijkstra(self) -> tuple[list[int], list[float], float]:
-        """The nodes at distance at most the sink's, their reduced-cost
-        distances from the source, and the sink's distance.
+        """The nodes settled before the sink, then the sink, their
+        reduced-cost distances from the source, and the sink's distance.
 
-        A node reached at no extra reduced cost from one being finalized is
+        The search stops as soon as the sink is final. Every node it left
+        unsettled is at distance at least the sink's, so the potential
+        update ``pi(v) += min(d(v), d_sink) - d_sink`` leaves it as it is.
+        A node reached at no extra reduced cost from one being settled is
         final at the same distance, so it is expanded from a stack rather
-        than queued. The sink is finalized but never expanded.
+        than queued. When the sink is unreachable, every node the source
+        reaches is settled and the sink's distance is inf. The settled
+        nodes keep their search marks: :meth:`_update_potentials` clears
+        them, or the failed solve drops the scratch.
         """
         s, t = self.net.source, self.net.sink
         dist, done = self.dist, self.done
@@ -390,22 +408,20 @@ class _PrimalDualSolver:
         stack = [s]
         d = 0.0
         pi, head, res, cost, adj = self.pi, self.head, self.res, self.cost, self.adj
-        d_sink = _INF
         while True:
             if stack:
                 v = stack.pop()
             else:
                 while heap and done[heap[0][1]]:
                     heappop(heap)
-                if not heap or heap[0][0] > d_sink:
-                    break
+                if not heap:
+                    return finalized, final_dist, _INF
                 d, v = heappop(heap)
                 done[v] = True
                 finalized.append(v)
                 final_dist.append(d)
                 if v == t:
-                    d_sink = d
-                    continue
+                    break
             pv = pi[v] + d
             for a in adj[v]:
                 if res[a] <= 0:
@@ -419,65 +435,53 @@ class _PrimalDualSolver:
                     finalized.append(u)
                     final_dist.append(d)
                     if u == t:
-                        d_sink = d
-                    else:
-                        stack.append(u)
+                        break
+                    stack.append(u)
                 elif nd < dist[u]:
                     dist[u] = nd
                     heappush(heap, (nd, u))
-        # Every node given a distance was finalized or is still queued.
-        for v in finalized:
-            done[v] = False
-            dist[v] = _INF
+            else:
+                continue
+            break   # the sink was reached at no extra reduced cost
+        # Every other node given a distance is still queued.
         for _, v in heap:
             dist[v] = _INF
-        return finalized, final_dist, d_sink
+        return finalized, final_dist, d
 
     def _update_potentials(self, finalized: list[int], final_dist: list[float],
                            d_sink: float):
-        # pi += where(done, dist, d_sink) - d_sink: a shift of every
-        # potential by one constant leaves all reduced costs as they are,
-        # so only the finalized nodes change.
-        pi = self.pi
-        self.priced.update(finalized)
+        # pi += min(dist, d_sink) - d_sink over every node. Nodes the search
+        # left unsettled are at least as far as the sink, so only the
+        # settled ones move. The same pass clears their search marks.
+        pi, dist, done = self.pi, self.dist, self.done
+        self.priced += finalized
         for v, d in zip(finalized, final_dist):
             pi[v] += d - d_sink
+            done[v] = False
+            dist[v] = _INF
 
-    def _augment_phase(self, limit: int) -> int:
-        """Push up to ``limit`` units along zero-reduced-cost residual paths.
+    def _augment_phase(self, limit: int) -> tuple[int, int]:
+        """Push up to ``limit`` units along zero-reduced-cost residual paths;
+        returns the units pushed and the number of paths.
 
         An arc is admissible when its reduced cost is at most ``eps`` and it
         had residual capacity at the start of the phase; arcs that gain
-        capacity during the phase wait for the next one.
+        capacity during the phase wait for the next one. Each path is found
+        by a depth-first search from the source that resumes every node's
+        scan where the phase last left it and never revisits a dead end.
         """
         s, t, eps = self.net.source, self.net.sink, self.eps
         head, res, cost, adj, pi = self.head, self.res, self.cost, self.adj, self.pi
         it, dead, on_path = self.it, self.dead, self.on_path
         start_res = self.phase_res = {}   # phase-start residual of changed arcs
         visited = [s]
-        sent = 0
+        sent = paths = 0
+        on_path[s] = True
         while sent < limit:
             path_nodes = [s]
             path_arcs: list[int] = []
-            on_path[s] = True
-            found = False
-            while path_nodes:
-                v = path_nodes[-1]
-                if v == t:
-                    pushed = min(res[a] for a in path_arcs)
-                    pushed = min(pushed, limit - sent)
-                    for a in path_arcs:
-                        r = a ^ 1
-                        start_res.setdefault(a, res[a])
-                        start_res.setdefault(r, res[r])
-                        res[a] -= pushed
-                        res[r] += pushed
-                    sent += pushed
-                    for node in path_nodes:
-                        on_path[node] = False
-                    found = True
-                    break
-                advanced = False
+            v = s
+            while True:
                 arcs = adj[v]
                 end = len(arcs)
                 i = it[v]
@@ -488,25 +492,42 @@ class _PrimalDualSolver:
                     if (res[a] > 0 and cost[a] + pv - pi[u] <= eps
                             and not on_path[u] and not dead[u]
                             and start_res.get(a, 1) > 0):
-                        path_nodes.append(u)
-                        path_arcs.append(a)
-                        on_path[u] = True
-                        visited.append(u)
-                        advanced = True
                         break
                     i += 1
-                it[v] = i
-                if not advanced:
+                else:           # a dead end: back off to the previous node
                     dead[v] = True
+                    if v == s:
+                        break
                     on_path[v] = False
                     path_nodes.pop()
-                    if path_arcs:
-                        path_arcs.pop()
-                    if path_nodes:
-                        it[path_nodes[-1]] += 1
-            if not found:
+                    path_arcs.pop()
+                    v = path_nodes[-1]
+                    it[v] += 1
+                    continue
+                it[v] = i
+                path_arcs.append(a)
+                if u == t:
+                    break
+                path_nodes.append(u)
+                on_path[u] = True
+                visited.append(u)
+                v = u
+            if dead[s]:
                 break
-        # on_path is clear again; it and dead changed only where visited
+            pushed = min(limit - sent, min(res[a] for a in path_arcs))
+            for a in path_arcs:
+                r = a ^ 1
+                start_res.setdefault(a, res[a])
+                start_res.setdefault(r, res[r])
+                res[a] -= pushed
+                res[r] += pushed
+            sent += pushed
+            paths += 1
+            for v in path_nodes:
+                on_path[v] = False
+            on_path[s] = True
+        on_path[s] = False
+        # it and dead changed only where visited
         for v in visited:
             it[v] = 0
             dead[v] = False
@@ -518,7 +539,7 @@ class _PrimalDualSolver:
             if a & 1 and res[a] > 0 and a not in listed:
                 listed.add(a)
                 insort(self._copied_list(head[a ^ 1]), a)
-        return sent
+        return sent, paths
 
     def solve(self) -> FlowSolution:
         busy = self.layout._busy
@@ -536,13 +557,15 @@ class _PrimalDualSolver:
 
     def _solve(self) -> FlowSolution:
         required = self.net.required_flow
-        sent = 0
+        sent = phases = paths = 0
         while sent < required:
             finalized, final_dist, d_sink = self._dijkstra()
+            phases += 1
             if d_sink == _INF:
                 raise FlowInfeasibleError(required, sent)
             self._update_potentials(finalized, final_dist, d_sink)
-            pushed = self._augment_phase(required - sent)
+            pushed, found = self._augment_phase(required - sent)
+            paths += found
             if pushed == 0:
                 # A reachable sink with no admissible path means the float
                 # slack hid a shortest arc; widening eps is unsound, so fail
@@ -558,7 +581,8 @@ class _PrimalDualSolver:
                 flow[e] = f
                 terms.append(f * cost[2 * e])
         # fsum rounds the exact sum once, so the summation order is free
-        return FlowSolution(flow=flow, value=sent, total_cost=math.fsum(terms))
+        return FlowSolution(flow=flow, value=sent, total_cost=math.fsum(terms),
+                            phases=phases, paths=paths)
 
 
 def solve_min_cost_flow(net: FlowNetwork) -> FlowSolution:

@@ -280,15 +280,15 @@ class Simulation:
     # -- assignment round ----------------------------------------------------
 
     def _round_cost_model(self) -> np.ndarray:
-        """The round's edge costs: the cost model evaluated over every edge."""
-        cfg = self.config
+        """The round's edge costs: the cost model evaluated over every edge.
+        Each reader (the flow builder, a distance provider or the linear
+        strategy) validates them as it takes them."""
+        cfg, grid = self.config, self.grid
         if cfg.cost_model == "unit":
-            model = None
-        elif cfg.cost_model == "traffic":
-            model = TrafficCost(self.traffic)
-        else:
-            model = AvgWaitCost(self.wait_stats)
-        return self.grid.edge_costs(model)
+            return grid.edge_costs()
+        model = (TrafficCost(self.traffic) if cfg.cost_model == "traffic"
+                 else AvgWaitCost(self.wait_stats))
+        return model(grid.tails, grid.heads)
 
     def _plan_round(self) -> tuple[AssignmentSet, list[Agent]]:
         cfg = self.config

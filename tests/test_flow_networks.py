@@ -34,6 +34,7 @@ from mapdflow.mincost_flow import (UNBOUNDED, ArcLayout, FlowInfeasibleError,
                                    FlowNetwork, solve_min_cost_flow)
 
 from conftest import directed_edges, max_flow_oracle, residual_has_negative_cycle
+from flow_oracle import FullSettleSolver
 
 MAPS = Path(__file__).resolve().parent.parent / "maps"
 
@@ -236,6 +237,81 @@ def test_shared_layout_solves_like_a_plain_network(monkeypatch, setup, cost_mode
     # Rounds A, B, C, then A again from one builder: a solve leaves the
     # layout as it found it, so A's flow comes out the same both times.
     assert results[-1] == results[0]
+
+
+def benchmark_unit_round(monkeypatch, step):
+    """Map, agents, tasks and edge costs of the flow round at ``step``
+    (counted from 1) of the random64-flow-unit benchmark run at seed 1:
+    200 agents, unit cost, uniform tasks, a round every step."""
+    grid = load_map("random64.map")
+    config = SimConfig(num_agents=200, strategy="flow", cost_model="unit",
+                       schedule_period=1, task_distribution="uniform",
+                       horizon=220, step_budget=None, seed=1)
+    sim = Simulation(grid, config)
+    for _ in range(step - 1):
+        sim.step()
+    rounds = []
+    real = simulator.flow_assign
+
+    def record(grid, available, pool, edge_cost=None, builder=None):
+        rounds.append(([Agent(id=a.id, location=a.location) for a in available],
+                       [Task(id=t.id, pickup=t.pickup, delivery=t.delivery)
+                        for t in pool],
+                       edge_cost.copy()))
+        return real(grid, available, pool, edge_cost, builder=builder)
+
+    monkeypatch.setattr(simulator, "flow_assign", record)
+    sim.step()
+    monkeypatch.undo()
+    return (grid, *rounds[0])
+
+
+def test_searches_stop_at_the_sink_on_a_benchmark_round(monkeypatch):
+    # A count in place of a clock: on this round every phase's search
+    # settles fewer nodes than one that also settles the nodes tied with
+    # the sink, and the flow comes out the same.
+    grid, agents, tasks, costs = benchmark_unit_round(monkeypatch, 21)
+    net = FlowNetworkBuilder(grid).build(agents, tasks, costs).network
+
+    def solve_counting(solver_class):
+        settled = []
+
+        class Counting(solver_class):
+            def _dijkstra(self):
+                result = super()._dijkstra()
+                settled.append(len(result[0]))
+                return result
+
+        sol = Counting(net).solve()
+        return (sol.flow, sol.value, repr(sol.total_cost), sol.phases,
+                sol.paths), sum(settled)
+
+    shipped, fewer = solve_counting(mincost_flow._PrimalDualSolver)
+    oracle, more = solve_counting(FullSettleSolver)
+    assert shipped == oracle
+    assert shipped[1] == net.required_flow > 0
+    assert fewer < more
+
+
+def test_cells_without_arcs_share_one_empty_list():
+    # The wall of the split map, and the layout's source and sink nodes,
+    # which have no arcs of the layout's own. A solve changes a scan list
+    # only in its own copy, so the shared list stays empty and shared.
+    grid, agents, tasks = split_instance()
+    wall = [v for v in range(len(grid.free)) if not grid.free[v]]
+    assert len(wall) >= 2
+    assert all(grid._neighbors[v] is grid._neighbors[wall[0]] for v in wall)
+    assert grid._neighbors[wall[0]] == []
+    builder = FlowNetworkBuilder(grid)
+    layout = builder.layout
+    source, sink = layout.num_nodes - 2, layout.num_nodes - 1
+    empty = layout._adj[wall[0]]
+    net = builder.build(agents, tasks).network
+    assert solve_min_cost_flow(net).value == net.required_flow > 0
+    for v in wall + [source, sink]:
+        assert layout._adj[v] is empty
+    assert empty == [] and grid._neighbors[wall[0]] == []
+    assert_workspace_as_built(layout, net)
 
 
 # -- flow_assign on small random grids --------------------------------------------

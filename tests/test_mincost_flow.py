@@ -3,12 +3,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mapdflow.assignment import Agent, FlowNetworkBuilder, Task
+from mapdflow.grid_map import GridMap
 from mapdflow.mincost_flow import (ArcLayout, FlowInfeasibleError, FlowNetwork,
                                    solve_min_cost_flow, to_dimacs)
 
 from conftest import (flow_cost_oracle, max_flow_oracle, random_flow_network,
                       residual_has_negative_cycle)
+from flow_oracle import solve_full_settle
 
 
 def chain_network():
@@ -211,3 +216,89 @@ def test_dimacs_dump():
     assert "n 1 1" in lines and "n 3 -1" in lines
     assert "a 1 2 0 1 0" in lines
     assert any(line.startswith("c flow") for line in lines)
+
+
+def test_solution_counts_phases_and_paths():
+    # Two disjoint paths of equal cost: one search, two augmenting paths.
+    net = FlowNetwork(num_nodes=4, source=0, sink=3, required_flow=2)
+    for middle in (1, 2):
+        net.add_edge(0, middle, 1, 1.0)
+        net.add_edge(middle, 3, 1, 1.0)
+    sol = solve_min_cost_flow(net)
+    assert (sol.value, sol.phases, sol.paths) == (2, 1, 2)
+    assert type(sol.phases) is int and type(sol.paths) is int
+    # A diamond's second unit takes the dearer branch, found by a second search.
+    net = FlowNetwork(num_nodes=5, source=0, sink=4, required_flow=2)
+    net.add_edge(0, 1, 2, 0.0)
+    net.add_edge(1, 2, None, 1.0)
+    net.add_edge(1, 3, None, 3.0)
+    net.add_edge(2, 4, 1, 0.0)
+    net.add_edge(3, 4, 1, 0.0)
+    sol = solve_min_cost_flow(net)
+    assert (sol.value, sol.total_cost, sol.phases, sol.paths) == (2, 4.0, 2, 2)
+    net = chain_network()
+    net.required_flow = 0
+    sol = solve_min_cost_flow(net)
+    assert (sol.phases, sol.paths) == (0, 0)
+    assert type(sol.phases) is int and type(sol.paths) is int
+
+
+def full_outcome(solve, net):
+    """Everything a solve reports: flow, value, the exact total cost and the
+    phase and path counts, or the maximum flow an infeasible solve found."""
+    try:
+        sol = solve(net)
+    except FlowInfeasibleError as err:
+        return "infeasible", err.required, err.max_feasible
+    return sol.flow, sol.value, repr(sol.total_cost), sol.phases, sol.paths
+
+
+@st.composite
+def tied_builder_networks(draw):
+    """An assignment network on a random grid of up to 8x8 cells. Pickups
+    come from a few cells, so they repeat, and grid costs are unit, small
+    integers (zeros included), quarters or random reals, so many tasks lie
+    at the same distance and searches meet ties with the sink. The
+    required flow may exceed the feasible maximum by up to 2."""
+    width, height = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    free = draw(st.lists(st.booleans(), min_size=width * height,
+                         max_size=width * height))
+    free[draw(st.integers(0, width * height - 1))] = True
+    grid = GridMap(width, height, free)
+    cells = grid.free_cells
+    agent_cells = draw(st.lists(st.sampled_from(cells), min_size=1,
+                                max_size=min(len(cells), 8), unique=True))
+    hubs = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=4))
+    pickups = draw(st.lists(st.sampled_from(hubs), min_size=1, max_size=12))
+    agents = [Agent(id=i, location=c) for i, c in enumerate(agent_cells)]
+    tasks = [Task(id=j, pickup=p, delivery=p) for j, p in enumerate(pickups)]
+    m = grid.num_directed_edges()
+    kind = draw(st.sampled_from(["unit", "integers", "quarters", "reals"]))
+    if kind == "unit":
+        costs = None
+    elif kind == "integers":
+        costs = np.array(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)),
+                         dtype=np.float64)
+    elif kind == "quarters":
+        costs = np.array(draw(st.lists(st.integers(0, 8), min_size=m, max_size=m)),
+                         dtype=np.float64) / 4.0
+    else:
+        costs = np.array(draw(st.lists(st.floats(0.5, 4.0), min_size=m, max_size=m)))
+    net = FlowNetworkBuilder(grid).build(agents, tasks, costs).network
+    net.required_flow += draw(st.integers(0, 2))
+    return net
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tied_builder_networks())
+def test_builder_networks_solve_like_the_full_settle_oracle(net):
+    assert full_outcome(solve_min_cost_flow, net) == full_outcome(solve_full_settle, net)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 5))
+def test_random_networks_solve_like_the_full_settle_oracle(seed, real_costs, required):
+    net = random_flow_network(random.Random(seed), max_nodes=10, max_edges=24,
+                              real_costs=real_costs)
+    net.required_flow = required
+    assert full_outcome(solve_min_cost_flow, net) == full_outcome(solve_full_settle, net)
